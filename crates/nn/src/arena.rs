@@ -427,7 +427,10 @@ impl ExecutionArena {
             self.scratch
                 .extend(s.iter().copied().filter(|c| c.in_bounds(grid)));
         }
-        self.scratch.sort_unstable();
+        // The scratch holds one sorted run per set. The stable sort detects
+        // those runs and merges them (O(n log k) for k sets) instead of
+        // re-sorting from scratch; the result is the same.
+        self.scratch.sort();
         self.scratch.dedup();
         Arc::from(&self.scratch[..])
     }

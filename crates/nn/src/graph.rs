@@ -13,12 +13,15 @@
 //! [`crate::rulegen::streaming`] — output dilation and rule counting in one
 //! `O(P·K)` pass over [`ExecutionArena`] scratch — and coordinate sets are
 //! shared (`Arc`) between a layer's output, the next layer's input, and the
-//! emitted workloads rather than cloned.
+//! emitted workloads rather than cloned. A layer whose explicit source,
+//! kind and kernel repeat an earlier layer's (the three detection heads over
+//! the concatenated neck) executes once: the later ones reuse its sets,
+//! rule count and pruning result.
 
 use crate::arena::ExecutionArena;
 use crate::conv::{ConvKind, LayerSpec};
 use crate::pruning::{ImportanceModel, PruningConfig, VectorPruner};
-use crate::rulegen::delta::{changed_fraction, FrameDeltaState, LayerDeltaCache};
+use crate::rulegen::delta::{changed_fraction, DeltaStats, FrameDeltaState, LayerDeltaCache};
 use serde::{Deserialize, Serialize};
 use spade_pointcloud::pillarize::PillarizationConfig;
 use spade_pointcloud::Scene;
@@ -269,6 +272,50 @@ pub fn execute_pattern_delta(
     )
 }
 
+/// One executed layer's results, kept so that later layers can read its
+/// output and a layer with the same source can reuse all of it.
+#[derive(Clone)]
+struct LayerRun {
+    in_grid: GridShape,
+    in_coords: Arc<[PillarCoord]>,
+    out_grid: GridShape,
+    /// Active output pillars before pruning.
+    dilated_active: usize,
+    rules: u64,
+    /// Output set after pruning.
+    out_coords: Arc<[PillarCoord]>,
+    /// Fraction of the dilated foreground pillars that pruning kept (SpConv-P
+    /// layers with a scene and some foreground only).
+    fg_ratio: Option<f64>,
+    /// What this layer added to the delta counters.
+    stats: DeltaStats,
+}
+
+/// For each layer, the first earlier layer it duplicates, if any: the same
+/// explicit source (`Layer(i)` or `Union(..)`), densify flag, kind and
+/// kernel give the same input set, dilated set, rule count and kept set.
+/// In the zoo these are the three detection heads over the concatenated
+/// neck. `Previous` never matches, because it names a different layer at
+/// every position.
+fn same_source_layers(spec: &NetworkSpec) -> Vec<Option<usize>> {
+    let same = |a: &NetworkLayer, b: &NetworkLayer| {
+        a.input == b.input
+            && a.densify_input == b.densify_input
+            && a.spec.kind == b.spec.kind
+            && a.spec.kernel == b.spec.kernel
+    };
+    spec.layers
+        .iter()
+        .enumerate()
+        .map(|(j, layer)| match layer.input {
+            LayerInput::Previous => None,
+            _ => spec.layers[..j]
+                .iter()
+                .position(|earlier| same(earlier, layer)),
+        })
+        .collect()
+}
+
 /// The one executor body behind both the full and delta entry points.
 fn execute_pattern_inner(
     spec: &NetworkSpec,
@@ -296,11 +343,14 @@ fn execute_pattern_inner(
         arena.scratch.dedup();
         Arc::from(&arena.scratch[..])
     };
+    let same_source = same_source_layers(spec);
     // Frame-level delta gate: the delta path runs only when the caches hold
     // the same network on the same grid and the frame-to-frame change stays
     // within the policy threshold. Anything else (first frame, i.i.d. drive,
     // scene cut, model switch) falls back to full sweeps — which still
-    // *record* the caches so the next frame can go incremental.
+    // *record* the caches so the next frame can go incremental. Dense layers
+    // and layers that reuse an earlier layer's results never populate a
+    // cache of their own.
     let mut frame_delta = false;
     if let Some(state) = delta.as_deref_mut() {
         state.stats.frames_total += 1;
@@ -320,16 +370,17 @@ fn execute_pattern_inner(
                     .layers
                     .iter()
                     .zip(&spec.layers)
-                    .all(|(c, l)| l.spec.kind == ConvKind::Dense || c.is_populated())
+                    .zip(&same_source)
+                    .all(|((c, l), src)| {
+                        l.spec.kind == ConvKind::Dense || src.is_some() || c.is_populated()
+                    })
             {
                 frame_delta = true;
                 state.stats.frames_delta += 1;
             }
         }
     }
-    let mut outputs: Vec<(GridShape, Arc<[PillarCoord]>)> = Vec::with_capacity(spec.layers.len());
-    let mut traces = Vec::with_capacity(spec.layers.len());
-    let mut workloads = Vec::with_capacity(spec.layers.len());
+    let mut runs: Vec<LayerRun> = Vec::with_capacity(spec.layers.len());
     let mut importance_cache: HashMap<u32, ImportanceModel> = HashMap::new();
     // Foreground accounting at the base resolution.
     let base_importance = match (ctx.scene, ctx.pillar_config) {
@@ -346,25 +397,35 @@ fn execute_pattern_inner(
     let initial_foreground = base_importance
         .as_ref()
         .map(|m| initial.iter().filter(|c| m.is_foreground(**c)).count());
-    let mut pruned_foreground_ratio: Vec<f64> = Vec::new();
 
     for (li, layer) in spec.layers.iter().enumerate() {
+        // A layer with the same source as an earlier one reuses its results,
+        // counters included, so the trace, the foreground coverage and the
+        // delta statistics read as if it had executed.
+        if let Some(src) = same_source[li] {
+            let run = runs[src].clone();
+            if let Some(state) = delta.as_deref_mut() {
+                state.stats.merge(&run.stats);
+            }
+            runs.push(run);
+            continue;
+        }
         let (in_grid, mut in_coords): (GridShape, Arc<[PillarCoord]>) = match &layer.input {
-            LayerInput::Previous => outputs
+            LayerInput::Previous => runs
                 .last()
-                .map(|(g, c)| (*g, Arc::clone(c)))
+                .map(|r| (r.out_grid, Arc::clone(&r.out_coords)))
                 .unwrap_or_else(|| (grid, Arc::clone(&initial))),
-            LayerInput::Layer(i) => (outputs[*i].0, Arc::clone(&outputs[*i].1)),
+            LayerInput::Layer(i) => (runs[*i].out_grid, Arc::clone(&runs[*i].out_coords)),
             LayerInput::Union(indices) => {
                 // Concatenated branches may differ by a row/column when odd
                 // grid sizes round up through stride-2 / deconv chains; crop
                 // to the smallest grid, as real detection necks do.
                 let g = indices
                     .iter()
-                    .map(|&i| outputs[i].0)
+                    .map(|&i| runs[i].out_grid)
                     .min_by_key(|g| (g.height, g.width))
                     .expect("union must reference at least one layer");
-                let merged = arena.union_coords(indices.iter().map(|&i| &*outputs[i].1), g);
+                let merged = arena.union_coords(indices.iter().map(|&i| &*runs[i].out_coords), g);
                 (g, merged)
             }
         };
@@ -373,6 +434,7 @@ fn execute_pattern_inner(
         }
         let sp = &layer.spec;
         let out_grid = sp.output_grid(in_grid);
+        let mut stats = DeltaStats::default();
         // One fused sweep per layer produces the dilated output set and the
         // rule count together (dense layers need neither sweep: their output
         // set is the whole grid and their rule count is closed-form;
@@ -390,20 +452,20 @@ fn execute_pattern_inner(
                 let rules = match delta.as_deref_mut() {
                     Some(state) => {
                         let out_rows = u64::from(in_grid.height);
-                        state.stats.rows_full_equivalent += out_rows;
+                        stats.rows_full_equivalent += out_rows;
                         let reusable = frame_delta
                             && state.layers[li]
                                 .input
                                 .as_ref()
                                 .is_some_and(|p| Arc::ptr_eq(p, &in_coords) || **p == *in_coords);
                         if reusable {
-                            state.stats.layers_reused += 1;
+                            stats.layers_reused += 1;
                             state.layers[li].rules
                         } else if frame_delta {
                             let (rules, swept) = arena
                                 .delta_count_submanifold(&in_coords, in_grid, sp.kernel, state, li);
-                            state.stats.layers_patched += 1;
-                            state.stats.rows_swept += swept;
+                            stats.layers_patched += 1;
+                            stats.rows_swept += swept;
                             state.layers[li].input = Some(Arc::clone(&in_coords));
                             rules
                         } else {
@@ -413,8 +475,8 @@ fn execute_pattern_inner(
                                 sp.kernel,
                                 &mut state.layers[li],
                             );
-                            state.stats.layers_full += 1;
-                            state.stats.rows_swept += out_rows;
+                            stats.layers_full += 1;
+                            stats.rows_swept += out_rows;
                             state.layers[li].input = Some(Arc::clone(&in_coords));
                             rules
                         }
@@ -426,14 +488,14 @@ fn execute_pattern_inner(
             _ => match delta.as_deref_mut() {
                 Some(state) => {
                     let out_rows = u64::from(out_grid.height);
-                    state.stats.rows_full_equivalent += out_rows;
+                    stats.rows_full_equivalent += out_rows;
                     let reusable = frame_delta
                         && state.layers[li]
                             .input
                             .as_ref()
                             .is_some_and(|p| Arc::ptr_eq(p, &in_coords) || **p == *in_coords);
                     if reusable {
-                        state.stats.layers_reused += 1;
+                        stats.layers_reused += 1;
                         let cache = &state.layers[li];
                         (
                             Arc::clone(cache.dilated.as_ref().expect("populated cache")),
@@ -443,8 +505,8 @@ fn execute_pattern_inner(
                         let (out, rules, swept) = arena.delta_dilate_and_count(
                             &in_coords, in_grid, sp.kind, sp.kernel, state, li,
                         );
-                        state.stats.layers_patched += 1;
-                        state.stats.rows_swept += swept;
+                        stats.layers_patched += 1;
+                        stats.rows_swept += swept;
                         state.layers[li].input = Some(Arc::clone(&in_coords));
                         (out, rules)
                     } else {
@@ -455,8 +517,8 @@ fn execute_pattern_inner(
                         let out: Arc<[PillarCoord]> = Arc::from(out);
                         cache.dilated = Some(Arc::clone(&out));
                         cache.input = Some(Arc::clone(&in_coords));
-                        state.stats.layers_full += 1;
-                        state.stats.rows_swept += out_rows;
+                        stats.layers_full += 1;
+                        stats.rows_swept += out_rows;
                         (out, rules)
                     }
                 }
@@ -468,11 +530,11 @@ fn execute_pattern_inner(
             },
         };
         // Dynamic pruning for SpConv-P layers.
-        let out_coords: Arc<[PillarCoord]> = if sp.kind == ConvKind::SpConvP {
+        let (out_coords, fg_ratio) = if sp.kind == ConvKind::SpConvP {
             let downsample = (grid.height / out_grid.height).max(1);
-            let scores = match (ctx.scene, ctx.pillar_config) {
+            let model = match (ctx.scene, ctx.pillar_config) {
                 (Some(scene), Some(cfg)) => {
-                    let model = importance_cache.entry(downsample).or_insert_with(|| {
+                    Some(&*importance_cache.entry(downsample).or_insert_with(|| {
                         ImportanceModel::for_scene(
                             scene,
                             cfg,
@@ -481,10 +543,13 @@ fn execute_pattern_inner(
                             ctx.seed,
                             ctx.pruning.finetuned,
                         )
-                    });
-                    model.scores(&dilated)
+                    }))
                 }
-                _ => dilated
+                _ => None,
+            };
+            let scores = match model {
+                Some(model) => model.scores(&dilated),
+                None => dilated
                     .iter()
                     .map(|c| {
                         // Deterministic pseudo-importance when no scene is given.
@@ -494,18 +559,16 @@ fn execute_pattern_inner(
                     .collect(),
             };
             let kept = pruner.prune_coords(&dilated, &scores);
-            if let Some(model) = importance_cache.get(&((grid.height / out_grid.height).max(1))) {
+            let fg_ratio = model.and_then(|model| {
                 let fg_before = dilated.iter().filter(|c| model.is_foreground(**c)).count();
                 let fg_after = kept.iter().filter(|c| model.is_foreground(**c)).count();
-                if fg_before > 0 {
-                    pruned_foreground_ratio.push(fg_after as f64 / fg_before as f64);
-                }
-            }
+                (fg_before > 0).then(|| fg_after as f64 / fg_before as f64)
+            });
             // Pruning is scene-dependent and re-runs every frame even on the
             // delta path, but an unchanged pruned set reuses the previous
             // frame's allocation so downstream layers see pointer-equal
             // inputs.
-            match delta.as_deref_mut() {
+            let out_coords = match delta.as_deref_mut() {
                 Some(state) => {
                     let cache = &mut state.layers[li];
                     let arc = match cache.output.as_ref() {
@@ -516,12 +579,33 @@ fn execute_pattern_inner(
                     arc
                 }
                 None => Arc::from(kept),
-            }
+            };
+            (out_coords, fg_ratio)
         } else {
             // Non-pruning layers pass the dilated set through unchanged — an
             // `Arc` clone, not a coordinate copy.
-            Arc::clone(&dilated)
+            (Arc::clone(&dilated), None)
         };
+        if let Some(state) = delta.as_deref_mut() {
+            state.stats.merge(&stats);
+        }
+        runs.push(LayerRun {
+            in_grid,
+            in_coords,
+            out_grid,
+            dilated_active: dilated.len(),
+            rules,
+            out_coords,
+            fg_ratio,
+            stats,
+        });
+    }
+
+    let mut traces = Vec::with_capacity(spec.layers.len());
+    let mut workloads = Vec::with_capacity(spec.layers.len());
+    for (layer, run) in spec.layers.iter().zip(&runs) {
+        let sp = &layer.spec;
+        let (in_grid, out_grid, rules) = (run.in_grid, run.out_grid, run.rules);
         let macs = match sp.kind {
             ConvKind::Dense => {
                 out_grid.num_cells() as u64
@@ -537,26 +621,25 @@ fn execute_pattern_inner(
             stage: layer.stage,
             in_grid,
             out_grid,
-            in_active: in_coords.len(),
-            dilated_active: dilated.len(),
-            out_active: out_coords.len(),
+            in_active: run.in_coords.len(),
+            dilated_active: run.dilated_active,
+            out_active: run.out_coords.len(),
             in_channels: sp.in_channels,
             out_channels: sp.out_channels,
             rules,
             macs,
             dense_macs,
-            iopr: iopr(in_coords.len(), out_coords.len()),
+            iopr: iopr(run.in_coords.len(), run.out_coords.len()),
         });
         workloads.push(LayerWorkload {
             spec: sp.clone(),
             stage: layer.stage,
             input_grid: in_grid,
-            input_coords: in_coords,
+            input_coords: Arc::clone(&run.in_coords),
             output_grid: out_grid,
-            output_coords: Arc::clone(&out_coords),
+            output_coords: Arc::clone(&run.out_coords),
             rules,
         });
-        outputs.push((out_grid, out_coords));
     }
 
     if let Some(state) = delta {
@@ -569,8 +652,8 @@ fn execute_pattern_inner(
         if initial == 0 {
             1.0
         } else {
-            pruned_foreground_ratio
-                .iter()
+            runs.iter()
+                .filter_map(|r| r.fg_ratio)
                 .product::<f64>()
                 .clamp(0.0, 1.0)
         }
@@ -875,8 +958,181 @@ mod tests {
                 mk("prune", ConvKind::SpConvP, LayerInput::Previous),
                 mk("up", ConvKind::SpDeconv, LayerInput::Previous),
                 mk("merge", ConvKind::SpConvS, LayerInput::Union(vec![1, 4])),
+                // Same sources as an earlier layer: executed once, reused.
+                mk("head_a", ConvKind::SpConvP, LayerInput::Layer(1)),
+                mk("head_b", ConvKind::SpConvP, LayerInput::Layer(1)),
+                mk("merge_b", ConvKind::SpConvS, LayerInput::Union(vec![1, 4])),
             ],
         }
+    }
+
+    #[test]
+    fn mixed_spec_covers_same_source_reuse() {
+        assert_eq!(
+            same_source_layers(&mixed_spec()),
+            vec![None, None, None, None, None, None, None, Some(6), Some(5)]
+        );
+    }
+
+    #[test]
+    fn previous_inputs_are_never_deduplicated() {
+        // Two identical layers reading `Previous` see different inputs.
+        let spec = simple_spec(ConvKind::SpConv);
+        assert_eq!(same_source_layers(&spec), vec![None, None]);
+        let (coords, grid) = initial();
+        let (trace, _) = execute_pattern(&spec, &coords, grid, 0, &ExecutionContext::default());
+        assert!(trace.layers[1].in_active > trace.layers[0].in_active);
+    }
+
+    /// A 64 × 64 base grid at 0.5 m with two cars and a truck, and a frame
+    /// whose active pillars are the vehicles' cells plus scattered
+    /// background.
+    fn scene_frame() -> (Scene, PillarizationConfig, Vec<PillarCoord>) {
+        use spade_pointcloud::{ObjectClass, SceneConfig, SceneObject};
+        let cfg = PillarizationConfig {
+            x_range: (0.0, 32.0),
+            y_range: (-16.0, 16.0),
+            pillar_size_x: 0.5,
+            pillar_size_y: 0.5,
+            ..PillarizationConfig::kitti_like()
+        };
+        let scene = Scene::from_objects(
+            SceneConfig::kitti_like(),
+            vec![
+                SceneObject::at(ObjectClass::Car, 8.0, -4.0, 0.3),
+                SceneObject::at(ObjectClass::Car, 20.0, 6.0, 1.2),
+                SceneObject::at(ObjectClass::Truck, 27.0, -10.0, 0.0),
+            ],
+        );
+        let grid = cfg.grid_shape();
+        let mut coords: Vec<PillarCoord> = grid
+            .all_cells()
+            .into_iter()
+            .filter(|c| {
+                let (x, y) = (
+                    f64::from(c.row) * 0.5 + 0.25,
+                    f64::from(c.col) * 0.5 - 15.75,
+                );
+                scene.objects().iter().any(|o| o.bbox.contains_bev(x, y))
+            })
+            .collect();
+        coords.extend(drifting_frames(grid, 1).concat());
+        coords.sort_unstable();
+        coords.dedup();
+        (scene, cfg, coords)
+    }
+
+    /// `spec` with its second and third heads reading the neck union in
+    /// other orders: the same input sets, but no layer is deduplicated.
+    fn without_same_source(spec: &NetworkSpec) -> NetworkSpec {
+        let mut oracle = spec.clone();
+        let heads: Vec<usize> = (0..spec.layers.len())
+            .filter(|&i| spec.layers[i].spec.name.starts_with('H'))
+            .collect();
+        let LayerInput::Union(necks) = spec.layers[heads[0]].input.clone() else {
+            panic!("heads read the neck union");
+        };
+        let (n1, n2, n3) = (necks[0], necks[1], necks[2]);
+        oracle.layers[heads[1]].input = LayerInput::Union(vec![n3, n2, n1]);
+        oracle.layers[heads[2]].input = LayerInput::Union(vec![n2, n3, n1]);
+        oracle
+    }
+
+    #[test]
+    fn same_source_heads_match_the_unshared_oracle() {
+        use crate::zoo::{Model, ModelKind};
+        let (scene, cfg, coords) = scene_frame();
+        let grid = cfg.grid_shape();
+        // Aggressive, naive pruning so that foreground is pruned too and
+        // the coverage product is exercised.
+        let ctx = ExecutionContext {
+            pruning: PruningConfig {
+                keep_ratio: 0.2,
+                min_keep: 1,
+                finetuned: false,
+            },
+            scene: Some(&scene),
+            pillar_config: Some(&cfg),
+            seed: 11,
+        };
+        let mut pruned_foreground = false;
+        for kind in ModelKind::ALL {
+            let spec = Model::build(kind).spec().clone();
+            let oracle = without_same_source(&spec);
+            let n = spec.layers.len();
+            assert_eq!(
+                same_source_layers(&spec)[n - 3..],
+                [None, Some(n - 3), Some(n - 3)],
+                "{kind}: the three heads share one source"
+            );
+            assert!(same_source_layers(&oracle).iter().all(Option::is_none));
+            let shared = execute_pattern(&spec, &coords, grid, 9, &ctx);
+            assert_eq!(
+                shared,
+                execute_pattern(&oracle, &coords, grid, 9, &ctx),
+                "{kind}"
+            );
+            if spec.layers.iter().any(|l| l.spec.kind == ConvKind::SpConvP) {
+                let coverage = shared.0.foreground_coverage.expect("a scene was given");
+                pruned_foreground |= coverage < 1.0;
+            }
+        }
+        assert!(pruned_foreground, "some model must prune foreground");
+    }
+
+    #[test]
+    fn same_source_heads_share_their_sets() {
+        use crate::zoo::{Model, ModelKind};
+        let (scene, cfg, coords) = scene_frame();
+        let ctx = ExecutionContext {
+            scene: Some(&scene),
+            pillar_config: Some(&cfg),
+            ..Default::default()
+        };
+        let spec = Model::build(ModelKind::Scp3).spec().clone();
+        let (_, workloads) = execute_pattern(&spec, &coords, cfg.grid_shape(), 0, &ctx);
+        let heads = &workloads[workloads.len() - 3..];
+        assert!(heads.iter().all(|w| w.spec.kind == ConvKind::SpConvP));
+        for w in &heads[1..] {
+            assert!(Arc::ptr_eq(&w.input_coords, &heads[0].input_coords));
+            assert!(Arc::ptr_eq(&w.output_coords, &heads[0].output_coords));
+        }
+        assert!(heads[0].output_coords.len() < heads[0].input_coords.len());
+    }
+
+    #[test]
+    fn same_source_heads_keep_delta_counters() {
+        use crate::zoo::{Model, ModelKind};
+        let (scene, cfg, _) = scene_frame();
+        let grid = cfg.grid_shape();
+        let ctx = ExecutionContext {
+            scene: Some(&scene),
+            pillar_config: Some(&cfg),
+            seed: 3,
+            ..Default::default()
+        };
+        let spec = Model::build(ModelKind::Scp3).spec().clone();
+        let oracle = without_same_source(&spec);
+        let mut arena = ExecutionArena::new();
+        let (mut shared_state, mut oracle_state) =
+            (FrameDeltaState::default(), FrameDeltaState::default());
+        for coords in drifting_frames(grid, 5) {
+            let shared =
+                execute_pattern_delta(&spec, &coords, grid, 0, &ctx, &mut arena, &mut shared_state);
+            let unshared = execute_pattern_delta(
+                &oracle,
+                &coords,
+                grid,
+                0,
+                &ctx,
+                &mut arena,
+                &mut oracle_state,
+            );
+            assert_eq!(shared, unshared);
+            assert_eq!(shared, execute_pattern(&spec, &coords, grid, 0, &ctx));
+        }
+        assert!(shared_state.stats().frames_delta > 0);
+        assert_eq!(shared_state.stats(), oracle_state.stats());
     }
 
     /// A drifting frame sequence: a few pillars move each frame, the rest

@@ -11,7 +11,8 @@
 #   5. dse smoke with --jobs 4  — the parallel sweep path, reduced grid,
 #                                 legacy drive + one scripted scenario,
 #                                 full-sweep, delta, and adaptive execution
-#   6. perf smoke               — reduced dse (release) vs committed reference
+#   6. perf smoke               — reduced and full-scale dse (release) vs
+#                                 committed references
 #   7. serve smoke              — spade-serve + 50 spade-loadgen requests:
 #                                 warm rate > 0, zero errors, clean SHUTDOWN,
 #                                 wall time vs committed reference
@@ -49,7 +50,7 @@ echo "$adaptive_out" | grep -q "cells screened by roofline bound" || {
     exit 1
 }
 
-echo "==> perf smoke (release reduced dse vs committed reference)"
+echo "==> perf smoke (release reduced and full-scale dse vs committed references)"
 scripts/perf_smoke.sh
 
 echo "==> serve smoke (spade-serve request loop under spade-loadgen)"
