@@ -4,18 +4,21 @@
 //! allocations for everything it touched: a `CprTensor` built from the input
 //! coordinates, a `BTreeSet` for output dilation, and a third walk of the
 //! inputs to count rules. [`ExecutionArena`] holds the scratch state those
-//! passes need — a row index over the input slice, the merge streams of the
-//! fused sweep, output-coordinate buffers, and a cache of dense all-cells
-//! sets — so consecutive layers (and consecutive `execute_pattern` calls that
-//! share one arena) reuse the same capacity instead of reallocating.
+//! passes need — a row index over the input slice, the bitmaps of the
+//! row-bitmap sweep ([`crate::rulegen::streaming`]), output-coordinate
+//! buffers, and a cache of dense all-cells sets — so consecutive layers (and
+//! consecutive `execute_pattern` calls that share one arena) reuse the same
+//! capacity instead of reallocating.
+//!
+//! Every sweep here only needs output coordinates and rule counts, so each
+//! runs the row-bitmap sweep rather than the RGU reference merge; the
+//! outputs and counts are the same.
 
 use crate::conv::ConvKind;
 use crate::kernel::KernelShape;
 use crate::rulegen::delta::{FrameDeltaState, LayerDeltaCache};
 use crate::rulegen::output_grid;
-use crate::rulegen::streaming::{
-    fused_sweep, input_row_band, sweep_output_row, CoordSink, NullSink, SliceRows, StreamState,
-};
+use crate::rulegen::streaming::{input_row_band, BitmapSweep, RowSource, SliceRows};
 use spade_tensor::{GridShape, PillarCoord};
 use std::sync::Arc;
 
@@ -27,9 +30,11 @@ pub struct ExecutionArena {
     row_ptr: Vec<usize>,
     /// Column index of each input pillar, grouped by row.
     cols: Vec<u32>,
-    /// Merge-stream state of the fused sweep (`kh·kw` entries at most).
-    streams: Vec<StreamState>,
-    /// Output coordinates of the current fused sweep.
+    /// The current input as one bitmap row per grid row (stride-1 kinds).
+    in_bits: Vec<u64>,
+    /// The output row the bitmap sweep is assembling.
+    out_bits: Vec<u64>,
+    /// Output coordinates of the current sweep.
     out_coords: Vec<PillarCoord>,
     /// General coordinate scratch (union merging, input normalisation).
     pub(crate) scratch: Vec<PillarCoord>,
@@ -46,9 +51,11 @@ impl ExecutionArena {
 
     /// Builds the row index (`row_ptr` + `cols`) over a CPR-sorted slice.
     fn index_rows(&mut self, coords: &[PillarCoord], grid: GridShape) {
+        // An out-of-grid column would set a bit in the next row's bitmap
+        // word, so the sweeps need in-bounds coordinates as well as order.
         debug_assert!(
-            coords.windows(2).all(|w| w[0] < w[1]),
-            "arena sweeps require strictly CPR-sorted coordinates"
+            coords.windows(2).all(|w| w[0] < w[1]) && coords.iter().all(|c| c.in_bounds(grid)),
+            "arena sweeps require strictly CPR-sorted, in-bounds coordinates"
         );
         self.row_ptr.clear();
         self.row_ptr.resize(grid.height as usize + 1, 0);
@@ -62,10 +69,37 @@ impl ExecutionArena {
         self.cols.extend(coords.iter().map(|c| c.col));
     }
 
-    /// One fused `O(P·K)` sweep for a dilating layer: computes the active
-    /// output coordinates (CPR order, in an internal buffer) *and* the rule
-    /// count together. Valid for every kind except [`ConvKind::Dense`] and
+    /// Indexes `coords` and prepares a row-bitmap sweep over them, returning
+    /// it with the (cleared) output-coordinate buffer.
+    fn sweep(
+        &mut self,
+        coords: &[PillarCoord],
+        in_grid: GridShape,
+        kind: ConvKind,
+        kernel: KernelShape,
+    ) -> (BitmapSweep<'_, SliceRows<'_>>, &mut Vec<PillarCoord>) {
+        self.index_rows(coords, in_grid);
+        let Self {
+            row_ptr,
+            cols,
+            in_bits,
+            out_bits,
+            out_coords,
+            ..
+        } = self;
+        out_coords.clear();
+        let rows = SliceRows { row_ptr, cols };
+        let sweep = BitmapSweep::new(rows, in_bits, out_bits, in_grid, kind, kernel);
+        (sweep, out_coords)
+    }
+
+    /// One `O(P·K)` sweep for a dilating layer: computes the active output
+    /// coordinates (CPR order, in an internal buffer) *and* the rule count
+    /// together. Valid for every kind except [`ConvKind::Dense`] and
     /// [`ConvKind::SpConvS`], whose output sets need no sweep.
+    ///
+    /// `coords` must be strictly CPR-sorted and inside `in_grid` (checked
+    /// with a debug assertion); the executor normalises its input to that.
     ///
     /// Returns the output slice (borrowed from the arena) and the rule count.
     pub fn dilate_and_count(
@@ -75,55 +109,24 @@ impl ExecutionArena {
         kind: ConvKind,
         kernel: KernelShape,
     ) -> (&[PillarCoord], u64) {
-        let out_grid = output_grid(in_grid, kind);
-        self.index_rows(coords, in_grid);
-        let Self {
-            row_ptr,
-            cols,
-            streams,
-            out_coords,
-            ..
-        } = self;
-        out_coords.clear();
-        let rows = SliceRows { row_ptr, cols };
-        let (_, rules) = fused_sweep(
-            &rows,
-            in_grid,
-            out_grid,
-            kind,
-            kernel,
-            streams,
-            &mut CoordSink(out_coords),
-        );
-        (out_coords, rules)
+        let (mut sweep, out) = self.sweep(coords, in_grid, kind, kernel);
+        let rules = sweep.sweep_all(out);
+        (out, rules)
     }
 
-    /// Rule count of a submanifold ([`ConvKind::SpConvS`]) layer in one fused
+    /// Rule count of a submanifold ([`ConvKind::SpConvS`]) layer in one
     /// sweep (the output set is the input set, so nothing is materialised).
+    ///
+    /// `coords` must be strictly CPR-sorted and inside `in_grid` (checked
+    /// with a debug assertion); the executor normalises its input to that.
     pub fn count_submanifold_rules(
         &mut self,
         coords: &[PillarCoord],
         in_grid: GridShape,
         kernel: KernelShape,
     ) -> u64 {
-        self.index_rows(coords, in_grid);
-        let Self {
-            row_ptr,
-            cols,
-            streams,
-            ..
-        } = self;
-        let rows = SliceRows { row_ptr, cols };
-        let (_, rules) = fused_sweep(
-            &rows,
-            in_grid,
-            in_grid,
-            ConvKind::SpConvS,
-            kernel,
-            streams,
-            &mut NullSink,
-        );
-        rules
+        let (mut sweep, out) = self.sweep(coords, in_grid, ConvKind::SpConvS, kernel);
+        sweep.sweep_all(out)
     }
 
     /// As [`ExecutionArena::dilate_and_count`], but additionally records the
@@ -139,41 +142,22 @@ impl ExecutionArena {
         cache: &mut LayerDeltaCache,
     ) -> (&[PillarCoord], u64) {
         let out_grid = output_grid(in_grid, kind);
-        self.index_rows(coords, in_grid);
-        let Self {
-            row_ptr,
-            cols,
-            streams,
-            out_coords,
-            ..
-        } = self;
-        out_coords.clear();
+        let (mut sweep, out) = self.sweep(coords, in_grid, kind, kernel);
         cache.out_row_ptr.clear();
         cache.out_row_ptr.push(0);
         cache.row_rules.clear();
-        let rows = SliceRows { row_ptr, cols };
         let mut rules = 0u64;
         for o in 0..out_grid.height {
-            let base = out_coords.len();
-            let (_, row_rules) = sweep_output_row(
-                &rows,
-                in_grid,
-                out_grid,
-                kind,
-                kernel,
-                streams,
-                &mut CoordSink(out_coords),
-                o,
-                base,
-            );
-            cache.out_row_ptr.push(out_coords.len());
+            let row_rules = sweep.sweep_row(o);
+            sweep.emit_row(o, out);
+            cache.out_row_ptr.push(out.len());
             cache.row_rules.push(row_rules);
             rules += row_rules;
         }
         cache.in_row_ptr.clear();
-        cache.in_row_ptr.extend_from_slice(row_ptr);
+        cache.in_row_ptr.extend_from_slice(sweep.rows().row_ptr);
         cache.rules = rules;
-        (out_coords, rules)
+        (out, rules)
     }
 
     /// As [`ExecutionArena::count_submanifold_rules`], recording the per-row
@@ -186,56 +170,18 @@ impl ExecutionArena {
         kernel: KernelShape,
         cache: &mut LayerDeltaCache,
     ) -> u64 {
-        self.index_rows(coords, in_grid);
-        let Self {
-            row_ptr,
-            cols,
-            streams,
-            ..
-        } = self;
+        let (mut sweep, _) = self.sweep(coords, in_grid, ConvKind::SpConvS, kernel);
         cache.row_rules.clear();
-        let rows = SliceRows { row_ptr, cols };
         let mut rules = 0u64;
         for o in 0..in_grid.height {
-            let (_, row_rules) = sweep_output_row(
-                &rows,
-                in_grid,
-                in_grid,
-                ConvKind::SpConvS,
-                kernel,
-                streams,
-                &mut NullSink,
-                o,
-                0,
-            );
+            let row_rules = sweep.sweep_row(o);
             cache.row_rules.push(row_rules);
             rules += row_rules;
         }
         cache.in_row_ptr.clear();
-        cache.in_row_ptr.extend_from_slice(row_ptr);
+        cache.in_row_ptr.extend_from_slice(sweep.rows().row_ptr);
         cache.rules = rules;
         rules
-    }
-
-    /// Marks the dirty input rows of a layer in `dirty_in`: rows whose column
-    /// set differs between the cached previous input and the current one.
-    fn mark_dirty_rows(
-        &self,
-        cache: &LayerDeltaCache,
-        in_grid: GridShape,
-        dirty_in: &mut Vec<bool>,
-    ) {
-        let prev_input = cache
-            .input
-            .as_ref()
-            .expect("delta splice requires a populated layer cache");
-        dirty_in.clear();
-        dirty_in.resize(in_grid.height as usize, false);
-        for (r, dirty) in dirty_in.iter_mut().enumerate() {
-            let prev = &prev_input[cache.in_row_ptr[r]..cache.in_row_ptr[r + 1]];
-            let next = &self.cols[self.row_ptr[r]..self.row_ptr[r + 1]];
-            *dirty = prev.len() != next.len() || prev.iter().zip(next).any(|(p, &n)| p.col != n);
-        }
     }
 
     /// Row-granular delta re-dilation: output rows whose receptive-field band
@@ -258,7 +204,7 @@ impl ExecutionArena {
         layer_idx: usize,
     ) -> (Arc<[PillarCoord]>, u64, u64) {
         let out_grid = output_grid(in_grid, kind);
-        self.index_rows(coords, in_grid);
+        let (mut sweep, _) = self.sweep(coords, in_grid, kind, kernel);
         let FrameDeltaState {
             layers,
             dirty_in,
@@ -268,14 +214,7 @@ impl ExecutionArena {
             ..
         } = state;
         let cache = &mut layers[layer_idx];
-        self.mark_dirty_rows(cache, in_grid, dirty_in);
-        let Self {
-            row_ptr,
-            cols,
-            streams,
-            ..
-        } = self;
-        let rows = SliceRows { row_ptr, cols };
+        mark_dirty_rows(cache, sweep.rows(), in_grid, dirty_in);
         let prev_dilated = cache
             .dilated
             .as_ref()
@@ -291,18 +230,8 @@ impl ExecutionArena {
                 .is_some_and(|(lo, hi)| dirty_in[lo as usize..=hi as usize].contains(&true));
             let row_rules = if dirty {
                 rows_swept += 1;
-                let base = staged_coords.len();
-                let (_, rr) = sweep_output_row(
-                    &rows,
-                    in_grid,
-                    out_grid,
-                    kind,
-                    kernel,
-                    streams,
-                    &mut CoordSink(staged_coords),
-                    o,
-                    base,
-                );
+                let rr = sweep.sweep_row(o);
+                sweep.emit_row(o, staged_coords);
                 rr
             } else {
                 let span =
@@ -324,7 +253,7 @@ impl ExecutionArena {
         std::mem::swap(&mut cache.out_row_ptr, staged_row_ptr);
         std::mem::swap(&mut cache.row_rules, staged_row_rules);
         cache.in_row_ptr.clear();
-        cache.in_row_ptr.extend_from_slice(row_ptr);
+        cache.in_row_ptr.extend_from_slice(sweep.rows().row_ptr);
         cache.dilated = Some(Arc::clone(&dilated));
         cache.rules = rules;
         (dilated, rules, rows_swept)
@@ -342,7 +271,7 @@ impl ExecutionArena {
         state: &mut FrameDeltaState,
         layer_idx: usize,
     ) -> (u64, u64) {
-        self.index_rows(coords, in_grid);
+        let (mut sweep, _) = self.sweep(coords, in_grid, ConvKind::SpConvS, kernel);
         let FrameDeltaState {
             layers,
             dirty_in,
@@ -350,14 +279,7 @@ impl ExecutionArena {
             ..
         } = state;
         let cache = &mut layers[layer_idx];
-        self.mark_dirty_rows(cache, in_grid, dirty_in);
-        let Self {
-            row_ptr,
-            cols,
-            streams,
-            ..
-        } = self;
-        let rows = SliceRows { row_ptr, cols };
+        mark_dirty_rows(cache, sweep.rows(), in_grid, dirty_in);
         staged_row_rules.clear();
         let mut rules = 0u64;
         let mut rows_swept = 0u64;
@@ -366,18 +288,7 @@ impl ExecutionArena {
                 .is_some_and(|(lo, hi)| dirty_in[lo as usize..=hi as usize].contains(&true));
             let row_rules = if dirty {
                 rows_swept += 1;
-                let (_, rr) = sweep_output_row(
-                    &rows,
-                    in_grid,
-                    in_grid,
-                    ConvKind::SpConvS,
-                    kernel,
-                    streams,
-                    &mut NullSink,
-                    o,
-                    0,
-                );
-                rr
+                sweep.sweep_row(o)
             } else {
                 cache.row_rules[o as usize]
             };
@@ -386,7 +297,7 @@ impl ExecutionArena {
         }
         std::mem::swap(&mut cache.row_rules, staged_row_rules);
         cache.in_row_ptr.clear();
-        cache.in_row_ptr.extend_from_slice(row_ptr);
+        cache.in_row_ptr.extend_from_slice(sweep.rows().row_ptr);
         cache.rules = rules;
         (rules, rows_swept)
     }
@@ -394,11 +305,12 @@ impl ExecutionArena {
     /// Capacities of the arena's scratch buffers — pinned by the test that
     /// asserts the steady-state delta path stops allocating.
     #[must_use]
-    pub fn scratch_capacities(&self) -> [usize; 5] {
+    pub fn scratch_capacities(&self) -> [usize; 6] {
         [
             self.row_ptr.capacity(),
             self.cols.capacity(),
-            self.streams.capacity(),
+            self.in_bits.capacity(),
+            self.out_bits.capacity(),
             self.out_coords.capacity(),
             self.scratch.capacity(),
         ]
@@ -433,6 +345,27 @@ impl ExecutionArena {
         self.scratch.sort();
         self.scratch.dedup();
         Arc::from(&self.scratch[..])
+    }
+}
+
+/// Marks the dirty input rows of a layer in `dirty_in`: rows whose column
+/// set differs between the cached previous input and the current one.
+fn mark_dirty_rows(
+    cache: &LayerDeltaCache,
+    rows: &SliceRows<'_>,
+    in_grid: GridShape,
+    dirty_in: &mut Vec<bool>,
+) {
+    let prev_input = cache
+        .input
+        .as_ref()
+        .expect("delta splice requires a populated layer cache");
+    dirty_in.clear();
+    dirty_in.resize(in_grid.height as usize, false);
+    for (r, dirty) in dirty_in.iter_mut().enumerate() {
+        let prev = &prev_input[cache.in_row_ptr[r]..cache.in_row_ptr[r + 1]];
+        let next = rows.row(r as u32).1;
+        *dirty = prev.len() != next.len() || prev.iter().zip(next).any(|(p, &n)| p.col != n);
     }
 }
 
@@ -620,6 +553,173 @@ mod tests {
         }
         assert_eq!(state.stats().frames_total, 8);
         assert_eq!(state.stats().frames_delta, 7);
+    }
+
+    /// Kernels for the bitmap-sweep oracles: every shape the zoo uses, the
+    /// 1-D ones, and two wider than 128 columns so column shifts cross two
+    /// or more words (`|dc| ≥ 64`) in both directions.
+    fn oracle_kernels() -> [KernelShape; 8] {
+        let k = |kh, kw| KernelShape { kh, kw };
+        [
+            k(1, 1),
+            k(2, 2),
+            k(3, 3),
+            k(5, 5),
+            k(1, 3),
+            k(3, 1),
+            k(1, 131),
+            k(2, 130),
+        ]
+    }
+
+    /// Grids for the oracles: widths on both sides of each word boundary
+    /// and the zoo's widths, with odd heights for stride 2.
+    fn oracle_grids() -> impl Iterator<Item = GridShape> {
+        [1, 63, 64, 65, 128, 129, 496, 512]
+            .into_iter()
+            .flat_map(|w| [1, 4, 7].map(|h| GridShape::new(h, w)))
+    }
+
+    /// A deterministic occupancy with every row shape the sweeps branch on:
+    /// row 1 full, row 2 empty, both edge columns of the first and last rows
+    /// occupied, and the rest of the grid about one-third occupied.
+    fn oracle_coords(grid: GridShape, seed: u64) -> Vec<PillarCoord> {
+        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let last = grid.height - 1;
+        let mut out = Vec::new();
+        for r in 0..grid.height {
+            for c in 0..grid.width {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                let edge = (r == 0 || r == last) && (c == 0 || c == grid.width - 1);
+                let keep = match r {
+                    1 => true,
+                    2 => false,
+                    _ => edge || s.is_multiple_of(3),
+                };
+                if keep {
+                    out.push(PillarCoord::new(r, c));
+                }
+            }
+        }
+        out
+    }
+
+    /// `prev` with the middle row's occupancy flipped and the bottom-right
+    /// cell toggled: a frame whose change is confined to two rows.
+    fn oracle_next(grid: GridShape, prev: &[PillarCoord]) -> Vec<PillarCoord> {
+        let mut flip: Vec<PillarCoord> = (0..grid.width)
+            .map(|c| PillarCoord::new(grid.height / 2, c))
+            .collect();
+        flip.push(PillarCoord::new(grid.height - 1, grid.width - 1));
+        let mut next: Vec<PillarCoord> =
+            prev.iter().filter(|c| !flip.contains(c)).copied().collect();
+        next.extend(flip.iter().filter(|c| !prev.contains(c)));
+        next.sort();
+        next.dedup();
+        next
+    }
+
+    /// `graph::count_rules` treats SpDeconv offsets as unsigned, so it only
+    /// covers kernels without negative offsets there.
+    fn count_rules_covers(kind: ConvKind, kernel: KernelShape) -> bool {
+        let no_negative = |k: u32| k == 1 || k.is_multiple_of(2);
+        kind != ConvKind::SpDeconv || (no_negative(kernel.kh) && no_negative(kernel.kw))
+    }
+
+    const SPARSE_KINDS: [ConvKind; 5] = [
+        ConvKind::SpConv,
+        ConvKind::SpConvS,
+        ConvKind::SpConvP,
+        ConvKind::SpStConv,
+        ConvKind::SpDeconv,
+    ];
+
+    #[test]
+    fn bitmap_sweep_matches_the_merge_and_count_rules() {
+        // One arena for every case, so each sweep also runs over bitmaps a
+        // different grid left behind.
+        let mut arena = ExecutionArena::new();
+        for grid in oracle_grids() {
+            for coords in [Vec::new(), oracle_coords(grid, u64::from(grid.width))] {
+                let t = CprTensor::from_sorted_coords(grid, 1, &coords);
+                for kind in SPARSE_KINDS {
+                    for kernel in oracle_kernels() {
+                        let case =
+                            format!("{kind} {kernel:?} on {grid:?}, {} inputs", coords.len());
+                        let book = rulegen::generate_rules(&t, kind, kernel);
+                        let out_grid = rulegen::output_grid(grid, kind);
+                        let rules = if kind == ConvKind::SpConvS {
+                            arena.count_submanifold_rules(&coords, grid, kernel)
+                        } else {
+                            let (out, rules) = arena.dilate_and_count(&coords, grid, kind, kernel);
+                            assert_eq!(out, book.output_coords(), "outputs: {case}");
+                            rules
+                        };
+                        assert_eq!(rules, book.num_rules() as u64, "rules: {case}");
+                        assert_eq!(
+                            rulegen::output_coords(&t, kind, kernel),
+                            book.output_coords(),
+                            "output_coords: {case}"
+                        );
+                        if count_rules_covers(kind, kernel) {
+                            let counted =
+                                crate::graph::count_rules(&coords, grid, out_grid, kind, kernel);
+                            assert_eq!(rules, counted, "count_rules: {case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bitmap_delta_splices_match_the_merge() {
+        let mut arena = ExecutionArena::new();
+        for grid in oracle_grids() {
+            let prev = oracle_coords(grid, u64::from(grid.width) + 7);
+            let next = oracle_next(grid, &prev);
+            let prev_arc: Arc<[PillarCoord]> = Arc::from(&prev[..]);
+            let prev_t = CprTensor::from_sorted_coords(grid, 1, &prev);
+            let next_t = CprTensor::from_sorted_coords(grid, 1, &next);
+            for kind in SPARSE_KINDS {
+                for kernel in oracle_kernels() {
+                    let case = format!("{kind} {kernel:?} on {grid:?}");
+                    let (prev_book, next_book) = (
+                        rulegen::generate_rules(&prev_t, kind, kernel),
+                        rulegen::generate_rules(&next_t, kind, kernel),
+                    );
+                    let mut state = crate::rulegen::delta::FrameDeltaState::default();
+                    state.layers.push(Default::default());
+                    let cache = &mut state.layers[0];
+                    if kind == ConvKind::SpConvS {
+                        let rules =
+                            arena.count_submanifold_rules_and_record(&prev, grid, kernel, cache);
+                        assert_eq!(rules, prev_book.num_rules() as u64, "record: {case}");
+                        cache.input = Some(Arc::clone(&prev_arc));
+                        let (rules, _) =
+                            arena.delta_count_submanifold(&next, grid, kernel, &mut state, 0);
+                        assert_eq!(rules, next_book.num_rules() as u64, "splice: {case}");
+                    } else {
+                        let (out, rules) =
+                            arena.dilate_count_and_record(&prev, grid, kind, kernel, cache);
+                        assert_eq!(out, prev_book.output_coords(), "record outputs: {case}");
+                        assert_eq!(rules, prev_book.num_rules() as u64, "record rules: {case}");
+                        cache.dilated = Some(Arc::from(out));
+                        cache.input = Some(Arc::clone(&prev_arc));
+                        let (out, rules, _) =
+                            arena.delta_dilate_and_count(&next, grid, kind, kernel, &mut state, 0);
+                        assert_eq!(
+                            &out[..],
+                            next_book.output_coords(),
+                            "splice outputs: {case}"
+                        );
+                        assert_eq!(rules, next_book.num_rules() as u64, "splice rules: {case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

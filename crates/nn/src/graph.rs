@@ -9,9 +9,11 @@
 //! models consume.
 //!
 //! This is the repository's hottest path (every bench and DSE cell funnels
-//! through it), so each layer runs the *fused* streaming sweep of
+//! through it), so each layer runs the row-bitmap sweep of
 //! [`crate::rulegen::streaming`] — output dilation and rule counting in one
-//! `O(P·K)` pass over [`ExecutionArena`] scratch — and coordinate sets are
+//! pass over [`ExecutionArena`] scratch, word-parallel for stride-1 kinds,
+//! with the same outputs and counts as the RGU reference merge — and
+//! coordinate sets are
 //! shared (`Arc`) between a layer's output, the next layer's input, and the
 //! emitted workloads rather than cloned. A layer whose explicit source,
 //! kind and kernel repeat an earlier layer's (the three detection heads over
@@ -221,7 +223,7 @@ pub fn execute_pattern(
 }
 
 /// [`execute_pattern`] with caller-owned scratch: every layer's dilation,
-/// rule count, and output set come from one fused streaming sweep over the
+/// rule count, and output set come from one row-bitmap sweep over the
 /// arena's reusable buffers, so the layer loop performs no per-layer
 /// `BTreeSet`/`CprTensor` construction and no repeated input walks.
 #[must_use]
@@ -435,7 +437,7 @@ fn execute_pattern_inner(
         let sp = &layer.spec;
         let out_grid = sp.output_grid(in_grid);
         let mut stats = DeltaStats::default();
-        // One fused sweep per layer produces the dilated output set and the
+        // One bitmap sweep per layer produces the dilated output set and the
         // rule count together (dense layers need neither sweep: their output
         // set is the whole grid and their rule count is closed-form;
         // submanifold layers keep their input set as the output set). With a

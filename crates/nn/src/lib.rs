@@ -15,7 +15,9 @@
 //!   CPR-based algorithm (the RGU's algorithmic reference, `O(P)`), a
 //!   hash-table algorithm (as used by the SpConv GPU library), and a
 //!   merge-sort algorithm (as used by the PointAcc accelerator), each with a
-//!   cycle-cost model for Fig. 5(b) — plus [`rulegen::delta`], which patches
+//!   cycle-cost model for Fig. 5(b); the row-bitmap sweep that computes
+//!   output sets and rule counts for pattern-level execution without
+//!   materialising rules — plus [`rulegen::delta`], which patches
 //!   the previous frame's rule structures instead of regenerating them when
 //!   consecutive frames of a drive overlap (temporal delta execution).
 //! * [`conv`] — sparse convolution variants (SpConv, SpConv-S, SpConv-P,
@@ -27,7 +29,7 @@
 //! * [`graph`] — layer graphs, network execution traces (active pillars,
 //!   operation counts, IOPR per layer).
 //! * [`arena`] — reusable scratch buffers for the pattern-level executor's
-//!   fused streaming sweeps (zero per-layer reallocation).
+//!   row-bitmap sweeps (zero per-layer reallocation).
 //! * [`zoo`] — the paper's model zoo: PP, SPP1–3, CP, SCP1–3, PN, SPN.
 //! * [`stats`] — GOPs/sparsity accounting helpers (Table I).
 //!

@@ -3,14 +3,19 @@
 //!
 //! Consecutive frames of a persistent drive share most of their active
 //! pillars (PR 5 measures ~0.88 consecutive-frame overlap on scripted
-//! scenarios), yet the fused sweep ([`crate::rulegen::streaming`]) rebuilds
-//! every output row of every layer each frame. The fused sweep is
-//! row-independent — output row `o` reads only the input rows inside its
-//! receptive-field band (`input_row_band`) and emits a contiguous run of
-//! output indices — so a
-//! frame-to-frame change confined to a few input rows can only affect the
-//! output rows whose halo band touches them. The delta path exploits
-//! exactly that:
+//! scenarios), yet a full sweep ([`crate::rulegen::streaming`]) rebuilds
+//! every output row of every layer each frame. Both sweeps there — the
+//! RGU reference merge that builds rule books and the row-bitmap sweep of
+//! pattern-level execution — are row-independent: output row `o` reads
+//! only the input rows inside its receptive-field band (`input_row_band`)
+//! and emits a contiguous run of output indices. So a frame-to-frame change
+//! confined to a few input rows can only affect the output rows whose halo
+//! band touches them. The delta path exploits exactly that, at two levels:
+//! [`patch_rule_book`] splices rule books with the merge's
+//! `sweep_output_row`, and the executor's per-row splices
+//! (`ExecutionArena::delta_dilate_and_count` and
+//! `delta_count_submanifold`) re-sweep dirty rows with the bitmap sweep.
+//! The steps, for rule books:
 //!
 //! 1. **Coord diff** — consecutive frames' CPR coord sets are compared with
 //!    a merge walk (both sides already sorted, the same shape as
@@ -46,9 +51,7 @@ use crate::conv::ConvKind;
 use crate::kernel::KernelShape;
 use crate::rule::RuleBook;
 use crate::rulegen::output_grid;
-use crate::rulegen::streaming::{
-    generate, input_row_band, sweep_output_row, BookSink, StreamState,
-};
+use crate::rulegen::streaming::{generate, input_row_band, sweep_output_row, StreamState};
 use serde::{Deserialize, Serialize};
 use spade_tensor::{CprTensor, GridShape, PillarCoord};
 use std::sync::Arc;
@@ -205,18 +208,7 @@ pub fn patch_rule_book(
         if dirty {
             // Halo hit: re-sweep the row against the new frame and discard
             // the previous book's superseded rules for it.
-            let base = book.num_outputs();
-            sweep_output_row(
-                &next_in,
-                in_grid,
-                out_grid,
-                kind,
-                kernel,
-                &mut streams,
-                &mut BookSink(&mut book),
-                o,
-                base,
-            );
+            sweep_output_row(&next_in, in_grid, kind, kernel, &mut streams, &mut book, o);
             for (tap, cursor) in cursors.iter_mut().enumerate() {
                 let rules = prev_book.rules_for_tap(tap);
                 while *cursor < rules.len() && rules[*cursor].output < span.1 {

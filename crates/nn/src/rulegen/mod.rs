@@ -13,7 +13,9 @@
 //! [`generate_rules`] is the shared entry point used by the functional
 //! convolution kernels; it delegates to the streaming algorithm. The other
 //! algorithms are exposed to verify equivalence and to model their cycle
-//! costs.
+//! costs. [`output_coords`] and the pattern-level executor need no rule
+//! book, so they run the streaming module's row-bitmap sweep, which yields
+//! the same output sets and rule counts.
 
 pub mod delta;
 pub mod hash;
@@ -109,27 +111,18 @@ impl RuleGenMethod {
 /// Computes the active output coordinates of a sparse convolution, in CPR
 /// order.
 ///
-/// Dilating kinds run the fused streaming sweep (no `BTreeSet`, no sort):
-/// the merged candidate streams already emit outputs in CPR order.
+/// Dilating kinds run the row-bitmap sweep of [`streaming`] (no `BTreeSet`,
+/// no sort): each output row leaves its bitmap in ascending column order.
 #[must_use]
 pub fn output_coords(input: &CprTensor, kind: ConvKind, kernel: KernelShape) -> Vec<PillarCoord> {
     let grid = input.grid();
-    let out_grid = output_grid(grid, kind);
     match kind {
-        ConvKind::Dense => out_grid.all_cells(),
+        ConvKind::Dense => output_grid(grid, kind).all_cells(),
         ConvKind::SpConvS => input.coords(),
         _ => {
-            let mut out = Vec::new();
-            let mut streams = Vec::with_capacity(kernel.num_taps());
-            streaming::fused_sweep(
-                &input,
-                grid,
-                out_grid,
-                kind,
-                kernel,
-                &mut streams,
-                &mut streaming::CoordSink(&mut out),
-            );
+            let (mut out, mut in_bits, mut out_bits) = (Vec::new(), Vec::new(), Vec::new());
+            streaming::BitmapSweep::new(input, &mut in_bits, &mut out_bits, grid, kind, kernel)
+                .sweep_all(&mut out);
             out
         }
     }

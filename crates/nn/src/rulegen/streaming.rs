@@ -1,27 +1,41 @@
-//! The paper's streaming rule-generation algorithm (Sec. III-B), implemented
-//! as a single fused sweep.
+//! The paper's streaming rule-generation algorithm (Sec. III-B), plus the
+//! row-bitmap sweep that pattern-level execution runs in its place.
 //!
 //! Because the input is CPR-encoded (rows in order, columns sorted within a
 //! row), every output row can be produced by looking only at the `kh` input
-//! rows that overlap its receptive field:
+//! rows that overlap its receptive field. Two sweeps build on that:
 //!
-//! 1. **Alignment** — the `kh` relevant input rows are walked simultaneously.
-//! 2. **Row merge** — each (input row, kernel column) pair forms one sorted
-//!    stream of candidate output columns; the `kh·kw` streams are merged with
-//!    a k-way comparator scan.
-//! 3. **Column-wise dilation** — the merged stream yields the active output
-//!    columns in ascending order, so the output coordinate set, the rule
-//!    book, and the rule count all fall out of the *same* pass: a monotone
-//!    output counter assigns output indices exactly as the RGU hardware does,
-//!    with no hash table, no sort, and no binary search.
+//! * **The RGU reference** (`fused_sweep`, driven by [`generate`]) copies the
+//!   hardware's dataflow:
+//!   1. **Alignment** — the `kh` relevant input rows are walked
+//!      simultaneously.
+//!   2. **Row merge** — each (input row, kernel column) pair forms one sorted
+//!      stream of candidate output columns; the `kh·kw` streams are merged
+//!      with a k-way comparator scan.
+//!   3. **Column-wise dilation** — the merged stream yields the active output
+//!      columns in ascending order, so the output coordinate set and the rule
+//!      book fall out of the *same* pass: a monotone output counter assigns
+//!      output indices exactly as the RGU hardware does, with no hash table,
+//!      no sort, and no binary search.
 //!
-//! Each active pillar is touched a constant number of times (once per kernel
-//! tap), giving the `O(P·K)` complexity the RGU exploits; the k-way head
-//! comparison is a fixed `K ≤ 9`-wide scan that hardware evaluates in
-//! parallel. The crate-internal `fused_sweep` is the shared core:
-//! [`generate`] drives it to build a full [`RuleBook`], while the
-//! pattern-level executor ([`crate::arena::ExecutionArena`]) drives it to
-//! produce output coordinates and rule counts without materialising rules.
+//!   Each active pillar is touched a constant number of times (once per
+//!   kernel tap), giving the `O(P·K)` complexity the RGU exploits; the k-way
+//!   head comparison is a fixed `K ≤ 9`-wide scan that hardware evaluates in
+//!   parallel. The rule books it builds feed the functional convolutions, the
+//!   hash/sort equivalence checks, the delta patcher and the Fig. 5(b) cost
+//!   model.
+//! * **The row-bitmap sweep** (`BitmapSweep`) serves pattern-level
+//!   execution ([`crate::arena::ExecutionArena`] and
+//!   [`crate::rulegen::output_coords`]), which only needs each layer's output
+//!   coordinates and rule count. It assembles one output row at a time as a
+//!   `u64` bitmap. Stride-1 kinds work a word at a time: the output row is
+//!   the OR of the `kh·kw` column-shifted input rows, and the rule count is
+//!   the sum of their popcounts (ANDed with the row's own inputs for
+//!   [`ConvKind::SpConvS`]). Strided and transposed kinds scatter each
+//!   (input, kernel column) candidate through the same column map as the
+//!   merge. Outputs leave the bitmap in ascending column order, so the
+//!   coordinates and counts equal the merge's by construction; the tests pin
+//!   them against it.
 
 use crate::conv::ConvKind;
 use crate::kernel::KernelShape;
@@ -62,6 +76,55 @@ impl RowSource for SliceRows<'_> {
     }
 }
 
+/// Tap offset of kernel row 0 and column 0 from the output position, negated:
+/// the same centring convention as [`KernelShape::offsets`] (odd kernels are
+/// centred, even kernels use offsets `0..k`).
+fn centre(kernel: KernelShape) -> (i64, i64) {
+    let c = |k: u32| if k % 2 == 1 { i64::from(k / 2) } else { 0 };
+    (c(kernel.kh), c(kernel.kw))
+}
+
+/// The input row that kernel row offset `dr` reads for output row `o`, if it
+/// exists and lies inside the input grid.
+fn input_row(o: u32, dr: i64, in_grid: GridShape, kind: ConvKind) -> Option<u32> {
+    let p_row: i64 = match kind {
+        ConvKind::SpStConv => 2 * i64::from(o) + dr,
+        ConvKind::SpDeconv => {
+            // q.row = 2·p.row + dr ⇒ p.row = (o − dr) / 2.
+            let v = i64::from(o) - dr;
+            if v % 2 != 0 {
+                return None;
+            }
+            v / 2
+        }
+        _ => i64::from(o) + dr,
+    };
+    (0..i64::from(in_grid.height))
+        .contains(&p_row)
+        .then_some(p_row as u32)
+}
+
+/// The candidate output column that input column `col` reaches through kernel
+/// column offset `dc`; negative when parity or the left grid edge rules it
+/// out. The map is monotone in `col`, so a candidate past the right grid edge
+/// means every later column of the row is past it too.
+fn output_col(col: u32, dc: i64, kind: ConvKind) -> i64 {
+    match kind {
+        ConvKind::SpStConv => {
+            // q.col = (p.col - dc) / 2, parity permitting.
+            let v = i64::from(col) - dc;
+            if v % 2 == 0 {
+                v / 2
+            } else {
+                -1
+            }
+        }
+        ConvKind::SpDeconv => 2 * i64::from(col) + dc,
+        // Stride-1: q.col = p.col - dc.
+        _ => i64::from(col) - dc,
+    }
+}
+
 /// One merge stream: a single (input row, kernel tap) pair emitting candidate
 /// output columns in ascending order.
 #[derive(Debug, Clone, Copy)]
@@ -80,199 +143,93 @@ pub(crate) struct StreamState {
     head: u32,
 }
 
-/// Advances `s` to its next valid candidate output column. All three column
-/// maps are monotone in the input column, so candidates past the right grid
-/// edge drain the stream outright.
+/// Advances `s` to its next valid candidate output column. Candidates past
+/// the right grid edge drain the stream outright.
 fn settle<R: RowSource>(rows: &R, s: &mut StreamState, kind: ConvKind, out_w: u32) {
     let (_, cols) = rows.row(s.row);
     while s.cursor < cols.len() {
-        let col = i64::from(cols[s.cursor]);
-        let cand = match kind {
-            ConvKind::SpStConv => {
-                // q.col = (p.col - dc) / 2, parity permitting.
-                let v = col - i64::from(s.dc);
-                if v < 0 || v % 2 != 0 {
-                    s.cursor += 1;
-                    continue;
-                }
-                v / 2
-            }
-            ConvKind::SpDeconv => 2 * col + i64::from(s.dc),
-            // Stride-1: q.col = p.col - dc.
-            _ => col - i64::from(s.dc),
-        };
-        if cand < 0 {
-            s.cursor += 1;
-            continue;
-        }
+        let cand = output_col(cols[s.cursor], i64::from(s.dc), kind);
         if cand >= i64::from(out_w) {
             break;
         }
-        s.head = cand as u32;
-        return;
+        if cand >= 0 {
+            s.head = cand as u32;
+            return;
+        }
+        s.cursor += 1;
     }
     s.head = EXHAUSTED;
 }
 
-/// Receiver of the fused sweep's two interleaved emission feeds. All rules
-/// targeting an output arrive immediately after that output's
-/// [`SweepSink::output`] call (candidate streams are strictly increasing, so
-/// an output column is never revisited).
-pub(crate) trait SweepSink {
-    /// A new active output coordinate, in ascending CPR order.
-    fn output(&mut self, coord: PillarCoord);
-    /// A rule `(tap, input index, output index)`.
-    fn rule(&mut self, tap: usize, input: usize, output: usize);
-}
-
-/// A sink that only collects output coordinates (pattern-level execution).
-pub(crate) struct CoordSink<'a>(pub &'a mut Vec<PillarCoord>);
-
-impl SweepSink for CoordSink<'_> {
-    fn output(&mut self, coord: PillarCoord) {
-        self.0.push(coord);
-    }
-    fn rule(&mut self, _tap: usize, _input: usize, _output: usize) {}
-}
-
-/// A sink that discards everything (rule counting only).
-pub(crate) struct NullSink;
-
-impl SweepSink for NullSink {
-    fn output(&mut self, _coord: PillarCoord) {}
-    fn rule(&mut self, _tap: usize, _input: usize, _output: usize) {}
-}
-
-/// Streams both feeds into a [`RuleBook`].
-pub(crate) struct BookSink<'a>(pub(crate) &'a mut RuleBook);
-
-impl SweepSink for BookSink<'_> {
-    fn output(&mut self, coord: PillarCoord) {
-        self.0.push_output(coord);
-    }
-    fn rule(&mut self, tap: usize, input: usize, output: usize) {
-        self.0.push(tap, input, output);
-    }
-}
-
 /// The fused streaming sweep: walks every output row once, k-way-merging the
-/// overlapping input rows, and emits output coordinates (in CPR order),
-/// rules (`(tap, input index, output index)`), and the rule count together
-/// through a single [`SweepSink`].
+/// overlapping input rows, and pushes output coordinates (in CPR order) and
+/// rules (`(tap, input index, output index)`) into `book` together.
 ///
-/// For [`ConvKind::SpConvS`] the output set is the input set, so
-/// [`SweepSink::output`] is never called and emitted output indices refer to
-/// the *input* ordering. [`ConvKind::Dense`] has no sparse structure to
-/// stream and is handled by the callers directly.
-///
-/// Returns `(number of outputs emitted, number of rules)`.
+/// For [`ConvKind::SpConvS`] the output set is the input set, so `book` must
+/// already hold the input coordinates as its outputs and only rules are
+/// pushed. [`ConvKind::Dense`] has no sparse structure to stream and is
+/// handled by the callers directly.
 pub(crate) fn fused_sweep<R: RowSource>(
     rows: &R,
     in_grid: GridShape,
-    out_grid: GridShape,
     kind: ConvKind,
     kernel: KernelShape,
     streams: &mut Vec<StreamState>,
-    sink: &mut impl SweepSink,
-) -> (usize, u64) {
-    let mut num_outputs = 0usize;
-    let mut num_rules = 0u64;
-    for o in 0..out_grid.height {
-        let (row_outputs, row_rules) = sweep_output_row(
-            rows,
-            in_grid,
-            out_grid,
-            kind,
-            kernel,
-            streams,
-            sink,
-            o,
-            num_outputs,
-        );
-        num_outputs += row_outputs;
-        num_rules += row_rules;
+    book: &mut RuleBook,
+) {
+    for o in 0..book.output_grid().height {
+        sweep_output_row(rows, in_grid, kind, kernel, streams, book, o);
     }
-    (num_outputs, num_rules)
 }
 
-/// Sweeps a single output row `o`, emitting its outputs and rules through the
-/// sink with output indices starting at `out_index_base`. Because the fused
-/// sweep is row-independent (each output row only reads its own overlapping
-/// input rows and emits a contiguous run of output indices), a full frame is
-/// just this function applied to every row in order — and the delta path
+/// Sweeps a single output row `o` into `book`. Because the fused sweep is
+/// row-independent (each output row only reads its own overlapping input
+/// rows and emits a contiguous run of output indices), a full frame is just
+/// this function applied to every row in order — and the delta patcher
 /// ([`crate::rulegen::delta`]) applies it to *dirty* rows only, splicing the
 /// results between untouched spans of the previous frame.
-///
-/// Returns `(outputs emitted for this row, rules emitted for this row)`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep_output_row<R: RowSource>(
     rows: &R,
     in_grid: GridShape,
-    out_grid: GridShape,
     kind: ConvKind,
     kernel: KernelShape,
     streams: &mut Vec<StreamState>,
-    sink: &mut impl SweepSink,
+    book: &mut RuleBook,
     o: u32,
-    out_index_base: usize,
-) -> (usize, u64) {
+) {
     debug_assert!(kind != ConvKind::Dense, "dense layers bypass the sweep");
+    let out_w = book.output_grid().width;
     let (kh, kw) = (i64::from(kernel.kh), i64::from(kernel.kw));
-    // Same centring convention as `KernelShape::offsets`.
-    let centre_r = if kernel.kh % 2 == 1 {
-        i64::from(kernel.kh / 2)
-    } else {
-        0
-    };
-    let centre_c = if kernel.kw % 2 == 1 {
-        i64::from(kernel.kw / 2)
-    } else {
-        0
-    };
+    let (centre_r, centre_c) = centre(kernel);
     let submanifold = kind == ConvKind::SpConvS;
-    let mut num_outputs = 0usize;
-    let mut num_rules = 0u64;
 
     // Alignment: one stream per (overlapping input row, kernel column).
     streams.clear();
     for kr in 0..kh {
-        let dr = kr - centre_r;
-        let p_row: i64 = match kind {
-            ConvKind::SpStConv => 2 * i64::from(o) + dr,
-            ConvKind::SpDeconv => {
-                // q.row = 2·p.row + dr ⇒ p.row = (o − dr) / 2.
-                let v = i64::from(o) - dr;
-                if v < 0 || v % 2 != 0 {
-                    continue;
-                }
-                v / 2
-            }
-            _ => i64::from(o) + dr,
-        };
-        if p_row < 0 || p_row >= i64::from(in_grid.height) {
+        let Some(p_row) = input_row(o, kr - centre_r, in_grid, kind) else {
             continue;
-        }
-        let (base, cols) = rows.row(p_row as u32);
+        };
+        let (base, cols) = rows.row(p_row);
         if cols.is_empty() {
             continue;
         }
         for kc in 0..kw {
             let mut s = StreamState {
-                row: p_row as u32,
+                row: p_row,
                 cursor: 0,
                 base,
                 dc: (kc - centre_c) as i32,
                 tap: (kr * kw + kc) as u32,
                 head: EXHAUSTED,
             };
-            settle(rows, &mut s, kind, out_grid.width);
+            settle(rows, &mut s, kind, out_w);
             if s.head != EXHAUSTED {
                 streams.push(s);
             }
         }
     }
     if streams.is_empty() {
-        return (0, 0);
+        return;
     }
     // For submanifold convolution the active outputs of this row are the
     // active inputs of the same row; a forward cursor intersects the
@@ -303,24 +260,21 @@ pub(crate) fn sweep_output_row<R: RowSource>(
             (oc < out_cols.len() && out_cols[oc] == best).then(|| out_base + oc)
         } else {
             if last_emitted != best {
-                sink.output(PillarCoord::new(o, best));
-                num_outputs += 1;
+                book.push_output(PillarCoord::new(o, best));
             }
-            Some(out_index_base + num_outputs - 1)
+            Some(book.num_outputs() - 1)
         };
         last_emitted = best;
         for s in streams.iter_mut() {
             if s.head == best {
                 if let Some(q) = q_idx {
-                    sink.rule(s.tap as usize, s.base + s.cursor, q);
-                    num_rules += 1;
+                    book.push(s.tap as usize, s.base + s.cursor, q);
                 }
                 s.cursor += 1;
-                settle(rows, s, kind, out_grid.width);
+                settle(rows, s, kind, out_w);
             }
         }
     }
-    (num_outputs, num_rules)
 }
 
 /// The input rows the sweep of output row `o` reads, as an inclusive range
@@ -333,40 +287,206 @@ pub(crate) fn input_row_band(
     kind: ConvKind,
     kernel: KernelShape,
 ) -> Option<(u32, u32)> {
-    let centre_r = if kernel.kh % 2 == 1 {
-        i64::from(kernel.kh / 2)
-    } else {
-        0
-    };
-    let mut lo = i64::MAX;
-    let mut hi = i64::MIN;
-    for kr in 0..i64::from(kernel.kh) {
-        let dr = kr - centre_r;
-        let p_row: i64 = match kind {
-            ConvKind::SpStConv => 2 * i64::from(o) + dr,
-            ConvKind::SpDeconv => {
-                let v = i64::from(o) - dr;
-                if v < 0 || v % 2 != 0 {
-                    continue;
-                }
-                v / 2
-            }
-            _ => i64::from(o) + dr,
-        };
-        if p_row < 0 || p_row >= i64::from(in_grid.height) {
-            continue;
-        }
-        lo = lo.min(p_row);
-        hi = hi.max(p_row);
-    }
+    let (centre_r, _) = centre(kernel);
+    let mut band: Option<(u32, u32)> = None;
+    let rows =
+        (0..i64::from(kernel.kh)).filter_map(|kr| input_row(o, kr - centre_r, in_grid, kind));
     // Submanifold sweeps additionally intersect with the *output* row's own
-    // input set, which sits at input row `o` — inside [lo, hi] already for
+    // input set, which sits at input row `o` — inside the band already for
     // odd kernels, but include it defensively.
-    if kind == ConvKind::SpConvS && (o as usize) < in_grid.height as usize {
-        lo = lo.min(i64::from(o));
-        hi = hi.max(i64::from(o));
+    let own = (kind == ConvKind::SpConvS && o < in_grid.height).then_some(o);
+    for r in rows.chain(own) {
+        band = Some(band.map_or((r, r), |(lo, hi)| (lo.min(r), hi.max(r))));
     }
-    (lo <= hi).then_some((lo as u32, hi as u32))
+    band
+}
+
+/// Number of `u64` words a bitmap row of `width` columns occupies.
+fn words_for(width: u32) -> usize {
+    (width as usize).div_ceil(64)
+}
+
+/// The `words` words of a zero-padded bitmap row shifted so that bit `q` of
+/// the result is bit `q + dc` of the row, for any `dc`: a word offset plus a
+/// bit offset. `row` holds the row's words behind `pad` zero words on each
+/// side, with `pad > |dc| / 64`, so no shift reads past it.
+fn shifted(row: &[u64], pad: usize, words: usize, dc: i64) -> impl Iterator<Item = u64> + '_ {
+    let start = (pad as i64 + dc.div_euclid(64)) as usize;
+    let bo = dc.rem_euclid(64) as u32;
+    // `(hi << 1) << (63 - bo)` is `hi << (64 - bo)`, and zero when `bo == 0`.
+    row[start..=start + words]
+        .windows(2)
+        .map(move |w| (w[0] >> bo) | ((w[1] << 1) << (63 - bo)))
+}
+
+/// The row-bitmap sweep of pattern-level execution: per output row, the
+/// active output columns (as a bitmap in `out_bits`) and the rule count,
+/// equal to what [`sweep_output_row`] would emit for the same row.
+///
+/// Stride-1 kinds read a zero-padded bitmap of every input row (`in_bits`,
+/// built once by [`BitmapSweep::new`]); strided and transposed kinds
+/// scatter straight from the row's columns.
+pub(crate) struct BitmapSweep<'a, R> {
+    rows: R,
+    /// `pad + in_words + pad` words per input row (stride-1 kinds only).
+    in_bits: &'a [u64],
+    /// The output row being assembled, one word per 64 output columns.
+    out_bits: &'a mut Vec<u64>,
+    in_grid: GridShape,
+    out_grid: GridShape,
+    kind: ConvKind,
+    kernel: KernelShape,
+    in_words: usize,
+    /// Zero words on each side of an input bitmap row.
+    pad: usize,
+}
+
+impl<'a, R: RowSource> BitmapSweep<'a, R> {
+    /// Prepares a sweep over `rows` (CPR-ordered, every column inside
+    /// `in_grid`), reusing the two bitmap buffers.
+    pub(crate) fn new(
+        rows: R,
+        in_bits: &'a mut Vec<u64>,
+        out_bits: &'a mut Vec<u64>,
+        in_grid: GridShape,
+        kind: ConvKind,
+        kernel: KernelShape,
+    ) -> Self {
+        debug_assert!(kind != ConvKind::Dense, "dense layers bypass the sweep");
+        let out_grid = output_grid(in_grid, kind);
+        let in_words = words_for(in_grid.width);
+        let centre_c = centre(kernel).1;
+        let max_dc = centre_c.max(i64::from(kernel.kw) - 1 - centre_c);
+        let pad = max_dc as usize / 64 + 1;
+        in_bits.clear();
+        if matches!(
+            kind,
+            ConvKind::SpConv | ConvKind::SpConvP | ConvKind::SpConvS
+        ) {
+            let stride = in_words + 2 * pad;
+            in_bits.resize(in_grid.height as usize * stride, 0);
+            for (r, bits) in in_bits.chunks_exact_mut(stride).enumerate() {
+                for &c in rows.row(r as u32).1 {
+                    bits[pad + c as usize / 64] |= 1 << (c % 64);
+                }
+            }
+        }
+        out_bits.clear();
+        out_bits.resize(words_for(out_grid.width), 0);
+        Self {
+            rows,
+            in_bits,
+            out_bits,
+            in_grid,
+            out_grid,
+            kind,
+            kernel,
+            in_words,
+            pad,
+        }
+    }
+
+    /// The input rows the sweep reads.
+    pub(crate) fn rows(&self) -> &R {
+        &self.rows
+    }
+
+    /// Input row `r` as a padded bitmap (stride-1 kinds).
+    fn in_row(&self, r: u32) -> &'a [u64] {
+        let stride = self.in_words + 2 * self.pad;
+        &self.in_bits[r as usize * stride..(r as usize + 1) * stride]
+    }
+
+    /// Sweeps output row `o`: leaves its active columns in the row bitmap
+    /// (left empty for [`ConvKind::SpConvS`], whose outputs are its inputs)
+    /// and returns its rule count.
+    pub(crate) fn sweep_row(&mut self, o: u32) -> u64 {
+        self.out_bits.fill(0);
+        let (centre_r, centre_c) = centre(self.kernel);
+        let (pad, words) = (self.pad, self.in_words);
+        // Columns of the last output word that lie inside the grid.
+        let tail = match self.out_grid.width % 64 {
+            0 => u64::MAX,
+            w => (1 << w) - 1,
+        };
+        let mut rules = 0u64;
+        for kr in 0..i64::from(self.kernel.kh) {
+            let Some(p_row) = input_row(o, kr - centre_r, self.in_grid, self.kind) else {
+                continue;
+            };
+            let cols = self.rows.row(p_row).1;
+            if cols.is_empty() {
+                continue;
+            }
+            let dcs = (0..i64::from(self.kernel.kw)).map(|kc| kc - centre_c);
+            match self.kind {
+                ConvKind::SpConvS => {
+                    let (src, own) = (self.in_row(p_row), &self.in_row(o)[pad..pad + words]);
+                    for dc in dcs {
+                        for (w, own) in shifted(src, pad, words, dc).zip(own) {
+                            rules += u64::from((w & own).count_ones());
+                        }
+                    }
+                }
+                ConvKind::SpConv | ConvKind::SpConvP => {
+                    let src = self.in_row(p_row);
+                    for dc in dcs {
+                        for (i, (out, w)) in self
+                            .out_bits
+                            .iter_mut()
+                            .zip(shifted(src, pad, words, dc))
+                            .enumerate()
+                        {
+                            let w = if i + 1 == words { w & tail } else { w };
+                            *out |= w;
+                            rules += u64::from(w.count_ones());
+                        }
+                    }
+                }
+                _ => {
+                    let out_w = i64::from(self.out_grid.width);
+                    for dc in dcs {
+                        for &col in cols {
+                            let q = output_col(col, dc, self.kind);
+                            if q >= out_w {
+                                break;
+                            }
+                            // Branch-free: stride-2 parity rejects about
+                            // half the columns at random.
+                            let hit = q >= 0;
+                            let q = q.max(0) as usize;
+                            self.out_bits[q / 64] |= u64::from(hit) << (q % 64);
+                            rules += u64::from(hit);
+                        }
+                    }
+                }
+            }
+        }
+        rules
+    }
+
+    /// Appends the active outputs of the last swept row `o` to `out`, in
+    /// ascending column (CPR) order.
+    pub(crate) fn emit_row(&self, o: u32, out: &mut Vec<PillarCoord>) {
+        for (i, &word) in self.out_bits.iter().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                out.push(PillarCoord::new(o, 64 * i as u32 + w.trailing_zeros()));
+                w &= w - 1;
+            }
+        }
+    }
+
+    /// Sweeps every output row, appending the outputs of dilating kinds to
+    /// `out`; returns the layer's rule count.
+    pub(crate) fn sweep_all(&mut self, out: &mut Vec<PillarCoord>) -> u64 {
+        let mut rules = 0u64;
+        for o in 0..self.out_grid.height {
+            rules += self.sweep_row(o);
+            self.emit_row(o, out);
+        }
+        rules
+    }
 }
 
 /// Generates a rule book with the fused streaming sweep: output coordinates,
@@ -375,7 +495,7 @@ pub(crate) fn input_row_band(
 pub fn generate(input: &CprTensor, kind: ConvKind, kernel: KernelShape) -> RuleBook {
     let out_grid = output_grid(input.grid(), kind);
     let mut streams: Vec<StreamState> = Vec::with_capacity(kernel.num_taps());
-    match kind {
+    let mut book = match kind {
         ConvKind::Dense => {
             // Every grid cell is an active output, so the output index is the
             // linear cell index — no lookup of any kind.
@@ -387,36 +507,14 @@ pub fn generate(input: &CprTensor, kind: ConvKind, kernel: KernelShape) -> RuleB
                     }
                 }
             }
-            book
+            return book;
         }
-        ConvKind::SpConvS => {
-            // Submanifold outputs are the inputs; indices coincide.
-            let mut book = RuleBook::new(kernel.num_taps(), out_grid, input.coords());
-            fused_sweep(
-                &input,
-                input.grid(),
-                out_grid,
-                kind,
-                kernel,
-                &mut streams,
-                &mut BookSink(&mut book),
-            );
-            book
-        }
-        _ => {
-            let mut book = RuleBook::streamed(kernel.num_taps(), out_grid);
-            fused_sweep(
-                &input,
-                input.grid(),
-                out_grid,
-                kind,
-                kernel,
-                &mut streams,
-                &mut BookSink(&mut book),
-            );
-            book
-        }
-    }
+        // Submanifold outputs are the inputs; indices coincide.
+        ConvKind::SpConvS => RuleBook::new(kernel.num_taps(), out_grid, input.coords()),
+        _ => RuleBook::streamed(kernel.num_taps(), out_grid),
+    };
+    fused_sweep(&input, input.grid(), kind, kernel, &mut streams, &mut book);
+    book
 }
 
 #[cfg(test)]

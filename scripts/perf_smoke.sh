@@ -6,7 +6,7 @@
 #   * full scale,   2 workers   — reference in scripts/dse_full_smoke_reference_ms
 #
 # The reduced sweep is mostly scene generation; the full-scale sweep is
-# ~95% pattern execution (rulegen and the SpConv-P pruning path), so it is
+# ~75% pattern execution (rulegen and the SpConv-P pruning path), so it is
 # the one that catches executor regressions. The generous 3x margin absorbs
 # runner-speed noise; the gate exists to catch order-of-magnitude hot-path
 # regressions, not percent-level drift (perfbench/ tracks that).
