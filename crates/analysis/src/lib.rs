@@ -67,7 +67,6 @@ pub const DETERMINISM_FILES: &[&str] = &[
     "crates/core/src/report.rs",
     "crates/nn/src/graph.rs",
     "crates/nn/src/pruning.rs",
-    "crates/nn/src/rulegen/delta.rs",
     "crates/nn/src/rulegen/hash.rs",
     "crates/nn/src/rulegen/mod.rs",
     "crates/nn/src/rulegen/sort.rs",

@@ -1,13 +1,6 @@
-//! Regenerates Fig. 5(b) and benchmarks its generation, plus the temporal
-//! delta rule-generation path against the full streaming sweep on
-//! consecutive frames of the stop-and-go scenario.
+//! Regenerates Fig. 5(b) and benchmarks its generation.
 use criterion::{criterion_group, criterion_main, Criterion};
 use spade_bench::{run_experiment, WorkloadScale};
-use spade_nn::rulegen::delta::patch_rule_book;
-use spade_nn::rulegen::generate_rules;
-use spade_nn::{ConvKind, KernelShape};
-use spade_pointcloud::{DatasetPreset, DriveScenario, NamedScenario};
-use spade_tensor::{CprTensor, PillarCoord};
 
 fn bench(c: &mut Criterion) {
     let out = run_experiment("fig05b", WorkloadScale::Reduced).expect("known experiment id");
@@ -16,53 +9,6 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("generate", |b| {
         b.iter(|| run_experiment("fig05b", WorkloadScale::Reduced))
-    });
-
-    // Delta variant: two consecutive frames of the persistent stop-and-go
-    // drive, full-sweeping the second frame vs. patching the first frame's
-    // book. The gap is the rule-generation work temporal coherence saves.
-    // The frames are cropped to the quarter-scale road-corridor window the
-    // reduced sweep runs (full-scale frames scatter per-frame LiDAR sampling
-    // noise across nearly every row, dirtying the whole halo).
-    let preset = DatasetPreset::kitti_like();
-    let drive = DriveScenario::named(preset.clone(), NamedScenario::StopAndGo, 2, 2024);
-    let frames = drive.frames();
-    let base = preset.grid_shape();
-    let grid = spade_tensor::GridShape::new(base.height / 4, base.width / 4);
-    let (row0, col0) = (base.height / 4, base.width * 3 / 8);
-    let tensors: Vec<CprTensor> = frames
-        .iter()
-        .map(|f| {
-            let coords: Vec<PillarCoord> = f
-                .frame
-                .pillars
-                .active_coords
-                .iter()
-                .filter(|c| {
-                    c.row >= row0
-                        && c.row < row0 + grid.height
-                        && c.col >= col0
-                        && c.col < col0 + grid.width
-                })
-                .map(|c| PillarCoord::new(c.row - row0, c.col - col0))
-                .collect();
-            CprTensor::from_coords(grid, 1, &coords)
-        })
-        .collect();
-    let prev_book = generate_rules(&tensors[0], ConvKind::SpConv, KernelShape::k3x3());
-    group.bench_function("full_sweep_next_frame", |b| {
-        b.iter(|| generate_rules(&tensors[1], ConvKind::SpConv, KernelShape::k3x3()))
-    });
-    group.bench_function("delta_patch_next_frame", |b| {
-        b.iter(|| {
-            patch_rule_book(
-                &tensors[0],
-                &prev_book,
-                &tensors[1],
-                ConvKind::SpConv,
-                KernelShape::k3x3(),
-            )
-        })
     });
     group.finish();
 }

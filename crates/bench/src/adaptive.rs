@@ -35,7 +35,7 @@
 //! have dominated is dominated by `s` too. Surviving cells are built from
 //! per-frame simulations in frame order through the shared constructors, so
 //! the adaptive frontier is *byte-identical* to the exhaustive one — pinned
-//! by `tests/dse_adaptive.rs` across scenarios, `--jobs`, and `--delta`.
+//! by `tests/dse_adaptive.rs` across scenarios and `--jobs`.
 //! Exact frontier ties are never screened (domination requires a strict
 //! inequality), exactly as [`super::pareto_frontier`] keeps them all.
 //!
@@ -388,7 +388,6 @@ pub(super) fn explore(
             &plan.configs,
             &plan.runs_by_model,
             &plan.overlap_by_model,
-            &plan.delta_by_model,
         )
     };
 
@@ -533,9 +532,6 @@ pub(super) fn explore(
         cell.mean_latency_ms = bound_lat;
         cell.mean_energy_mj = bound_energy;
         cell.mean_dram_mib = mean_dram_by_model[item.model_idx];
-        let (frames_delta, delta_speedup) = plan.delta_by_model[item.model_idx];
-        cell.frames_delta_executed = frames_delta;
-        cell.delta_speedup = delta_speedup;
         cell.simulated = false;
         cells[spade[pos]] = Some(cell);
         cells_screened += 1;
@@ -599,17 +595,13 @@ pub(super) fn explore(
             // exhaustive path.
             for surv in active.drain(..) {
                 let item = &plan.items[spade[surv.pos]];
-                let mut cell = spade_cell(
+                cells[spade[surv.pos]] = Some(spade_cell(
                     params.models[item.model_idx],
                     &plan.configs[item.config_idx],
                     spade_opts(surv.pos),
                     &surv.perfs,
                     plan.overlap_by_model[item.model_idx],
-                );
-                let (frames_delta, delta_speedup) = plan.delta_by_model[item.model_idx];
-                cell.frames_delta_executed = frames_delta;
-                cell.delta_speedup = delta_speedup;
-                cells[spade[surv.pos]] = Some(cell);
+                ));
             }
             break;
         }

@@ -12,7 +12,6 @@
 //! spade-experiments dse --jobs 4                    # sweep on 4 worker threads
 //! spade-experiments dse --frames 8 --drive-seed 7   # reshape the drive
 //! spade-experiments dse --scenario stop-and-go      # scripted persistent drive
-//! spade-experiments dse --scenario urban --delta    # temporal delta execution
 //! spade-experiments dse --csv pareto.csv            # export the grid as CSV
 //! spade-experiments dse --json pareto.json          # ... or as JSON
 //! spade-experiments dse --enlarged --adaptive       # 91x grid, screened sweep
@@ -21,12 +20,9 @@
 //! `--jobs` defaults to the machine's available parallelism; the sweep
 //! result is bit-identical for every worker count. `--scenario` selects a
 //! scripted drive (`constant | urban | stop-and-go | tunnel`); without it
-//! the sweep runs the legacy i.i.d. density-ramp drive. `--delta` executes
-//! each drive through the temporal delta path (patching the previous frame's
-//! rule structures instead of regenerating them; byte-identical results,
-//! adds the `frames_delta_executed` / `delta_speedup` export columns);
-//! `--no-delta` restores the full-sweep default. `--enlarged` crosses the
-//! grid with the buffer-split × banking axes (~91× more configurations);
+//! the sweep runs the legacy i.i.d. density-ramp drive. `--enlarged`
+//! crosses the grid with the buffer-split × banking axes (~91× more
+//! configurations);
 //! `--adaptive` explores the grid via roofline screening + successive
 //! halving (identical Pareto frontier, a fraction of the simulations; adds
 //! the `simulated` / `cells_screened` / `cells_simulated` / `frames_saved`
@@ -44,7 +40,6 @@ struct Cli {
     frames: Option<usize>,
     drive_seed: Option<u64>,
     scenario: Option<NamedScenario>,
-    delta: Option<bool>,
     adaptive: Option<bool>,
     enlarged: bool,
     csv_path: Option<String>,
@@ -76,7 +71,6 @@ fn parse_cli() -> Cli {
         frames: None,
         drive_seed: None,
         scenario: None,
-        delta: None,
         adaptive: None,
         enlarged: false,
         csv_path: None,
@@ -107,8 +101,6 @@ fn parse_cli() -> Cli {
                 });
                 cli.scenario = Some(scenario);
             }
-            "--delta" => cli.delta = Some(true),
-            "--no-delta" => cli.delta = Some(false),
             "--adaptive" => cli.adaptive = Some(true),
             "--exhaustive" => cli.adaptive = Some(false),
             "--enlarged" => cli.enlarged = true,
@@ -135,9 +127,6 @@ fn run_dse_with(cli: &Cli) {
         params.base_seed = seed;
     }
     params.scenario = cli.scenario;
-    if let Some(delta) = cli.delta {
-        params.delta = delta;
-    }
     if let Some(adaptive) = cli.adaptive {
         params.adaptive = adaptive;
     }
@@ -149,18 +138,13 @@ fn run_dse_with(cli: &Cli) {
         Some(s) => format!("{s} scenario"),
         None => "legacy i.i.d. drive".to_owned(),
     };
-    let exec = if params.delta {
-        ", delta execution"
-    } else {
-        ""
-    };
     let explore = if params.adaptive {
         ", adaptive exploration"
     } else {
         ""
     };
     println!(
-        "\n=== dse ({jobs} worker threads, {drive}{exec}{explore}) ===\n{}",
+        "\n=== dse ({jobs} worker threads, {drive}{explore}) ===\n{}",
         result.summary()
     );
     if let Some(path) = &cli.csv_path {

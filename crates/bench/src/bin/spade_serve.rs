@@ -1,7 +1,7 @@
 //! The SPADE sweep service: accepts `SWEEP` / `FRAME` / `STATS` requests
 //! over a tiny length-prefixed TCP protocol, dedupes identical in-flight
-//! sweeps, caches completed results, and streams persistent-world drives
-//! through the temporal delta path.
+//! sweeps, caches completed results, and executes persistent-world drives
+//! frame by frame.
 //!
 //! Usage:
 //!

@@ -41,15 +41,13 @@
 pub mod adaptive;
 
 use crate::pool::WorkerPool;
-use crate::workload::{
-    model_run_on_frame, model_run_on_frame_delta, simulate_on, ModelRun, WorkloadScale,
-};
+use crate::workload::{model_run_on_frame, simulate_on, ModelRun, WorkloadScale};
 use spade_baselines::{DenseAccelerator, PointAccModel, SpConv2dAccelerator};
 use spade_core::{
     Accelerator, AcceleratorReport, DataflowOptions, NetworkPerf, ReportTable, SpadeAccelerator,
     SpadeConfig,
 };
-use spade_nn::{DeltaPolicy, DeltaStats, FrameDeltaState, ModelKind, PruningConfig};
+use spade_nn::{DeltaStats, ModelKind, PruningConfig};
 use spade_pointcloud::dataset::{DatasetKind, DatasetPreset};
 use spade_pointcloud::{
     DensityProfile, DriveFrame, DriveScenario, DriveScenarioConfig, NamedScenario,
@@ -234,14 +232,6 @@ pub struct DseParams {
     /// profile and persistence with the named preset's (see
     /// [`NamedScenario::config`]), still over `num_frames`/`base_seed`.
     pub scenario: Option<NamedScenario>,
-    /// Execute each drive through the temporal delta path
-    /// ([`model_run_on_frame_delta`]): consecutive frames patch the previous
-    /// frame's rule structures instead of regenerating them. The per-frame
-    /// workloads — and therefore every simulated cell — are byte-identical
-    /// to a full-sweep run; only the rule-generation work changes. Adds the
-    /// `frames_delta_executed` / `delta_speedup` columns to the exported
-    /// grid.
-    pub delta: bool,
     /// Explore the grid adaptively ([`adaptive`]): a roofline lower bound
     /// per SPADE cell screens provably dominated cells before simulation,
     /// and successive halving refines the survivors on growing frame
@@ -272,7 +262,6 @@ impl DseParams {
                     end: 2.0,
                 },
                 scenario: None,
-                delta: false,
                 adaptive: false,
             },
             WorkloadScale::Reduced => Self {
@@ -286,7 +275,6 @@ impl DseParams {
                     end: 2.0,
                 },
                 scenario: None,
-                delta: false,
                 adaptive: false,
             },
         }
@@ -354,14 +342,11 @@ pub struct DseCell {
     /// backend could exploit. A property of the drive, so every cell of the
     /// same workload shares the value; `0.0` for single-frame drives.
     pub mean_pillar_overlap: f64,
-    /// Frames of this cell's workload that executed through the delta path
-    /// (patching the previous frame's rule structures) rather than a full
-    /// sweep. A property of the drive run, so every cell of the same
-    /// workload shares the value; `0` when delta execution is off.
+    /// Retired with temporal delta execution: always `0`. Only the
+    /// benchmark harness still names this field; it is not exported.
     pub frames_delta_executed: usize,
-    /// Modelled rule-generation speedup of the delta run over a full-sweep
-    /// run ([`DeltaStats::modelled_speedup`]): full-equivalent output rows
-    /// divided by rows actually swept. `1.0` when delta execution is off.
+    /// Retired with temporal delta execution: always `1.0`. Only the
+    /// benchmark harness still names this field; it is not exported.
     pub delta_speedup: f64,
     /// Whether this cell was fully simulated. `false` only for cells the
     /// adaptive explorer screened out, whose latency/energy columns then
@@ -390,10 +375,12 @@ pub struct DseResult {
     pub spade_dense_wins: usize,
     /// Number of `(workload, configuration)` comparisons made for the tally.
     pub spade_dense_comparisons: usize,
-    /// Whether the drives were executed through the temporal delta path.
+    /// Retired with temporal delta execution: always `false`. Only the
+    /// benchmark harness still names this field.
     pub delta: bool,
-    /// Delta-execution statistics merged across every model's drive (all
-    /// zeros when `delta` is off).
+    /// Retired with temporal delta execution: always
+    /// `DeltaStats::default()`. Only the benchmark harness still names this
+    /// field.
     pub delta_stats: DeltaStats,
     /// Whether the grid was explored adaptively ([`adaptive`]).
     pub adaptive: bool,
@@ -560,18 +547,16 @@ fn compute_cell(
     configs: &[SpadeConfig],
     runs_by_model: &[Vec<ModelRun>],
     overlap_by_model: &[f64],
-    delta_by_model: &[(usize, f64)],
 ) -> DseCell {
     let kind = models[item.model_idx];
     let config = &configs[item.config_idx];
     let runs = &runs_by_model[item.model_idx];
     let overlap = overlap_by_model[item.model_idx];
-    let (frames_delta, delta_speedup) = delta_by_model[item.model_idx];
     let sim_all = |acc: &dyn Accelerator| -> Vec<NetworkPerf> {
         runs.iter().map(|r| simulate_on(acc, r)).collect()
     };
     let spade_area = || AcceleratorReport::for_spade("SPADE", config).total_mm2();
-    let mut cell = match &item.kind {
+    match &item.kind {
         CellKind::Spade(opts) => {
             let acc = SpadeAccelerator::with_options(*config, *opts);
             spade_cell(kind, config, *opts, &sim_all(&acc), overlap)
@@ -619,10 +604,7 @@ fn compute_cell(
                 overlap,
             )
         }
-    };
-    cell.frames_delta_executed = frames_delta;
-    cell.delta_speedup = delta_speedup;
-    cell
+    }
 }
 
 /// Runs the sweep serially — shorthand for [`run_dse_with_jobs`] with one
@@ -663,7 +645,6 @@ pub fn run_dse_on_pool(params: &DseParams, pool: &WorkerPool) -> DseResult {
                 &plan.configs,
                 &plan.runs_by_model,
                 &plan.overlap_by_model,
-                &plan.delta_by_model,
             )
         });
         let simulated = cells.len();
@@ -689,8 +670,6 @@ struct SweepPlan {
     num_frames: usize,
     runs_by_model: Vec<Vec<ModelRun>>,
     overlap_by_model: Vec<f64>,
-    delta_by_model: Vec<(usize, f64)>,
-    delta_stats: DeltaStats,
     items: Vec<CellItem>,
     duels: Vec<(Vec<usize>, usize)>,
     workload_ranges: Vec<std::ops::Range<usize>>,
@@ -712,7 +691,6 @@ impl SweepPlan {
         // `workload::model_run_on_frame`), so pattern execution allocates no
         // per-layer scratch anywhere in the sweep.
         let mut frames_by_dataset: Vec<(DatasetKind, Vec<DriveFrame>, f64)> = Vec::new();
-        let mut delta_stats_by_model: Vec<DeltaStats> = Vec::new();
         let runs_by_model: Vec<Vec<ModelRun>> = params
             .models
             .iter()
@@ -745,42 +723,16 @@ impl SweepPlan {
                 // randomness of the frame it runs on — and held drive-stable on
                 // persistent worlds (`pruning_seed`) so the pruned layers inherit
                 // the scene's temporal coherence.
-                if params.delta {
-                    // The delta path is stateful across a drive's frames, so one
-                    // model's frames run sequentially in order; models (and the
-                    // design-point fan-out of stage 3) still parallelise, and the
-                    // per-frame results are byte-identical to the pooled full
-                    // sweeps either way.
-                    let mut state = FrameDeltaState::new(DeltaPolicy::default());
-                    let runs = frames
-                        .iter()
-                        .map(|f| {
-                            model_run_on_frame_delta(
-                                kind,
-                                &preset,
-                                &f.frame,
-                                drive_cfg.pruning_seed(f.index),
-                                params.scale,
-                                PruningConfig::default(),
-                                &mut state,
-                            )
-                        })
-                        .collect();
-                    delta_stats_by_model.push(state.stats());
-                    runs
-                } else {
-                    delta_stats_by_model.push(DeltaStats::default());
-                    pool.run(num_frames, |i| {
-                        model_run_on_frame(
-                            kind,
-                            &preset,
-                            &frames[i].frame,
-                            drive_cfg.pruning_seed(frames[i].index),
-                            params.scale,
-                            PruningConfig::default(),
-                        )
-                    })
-                }
+                pool.run(num_frames, |i| {
+                    model_run_on_frame(
+                        kind,
+                        &preset,
+                        &frames[i].frame,
+                        drive_cfg.pruning_seed(frames[i].index),
+                        params.scale,
+                        PruningConfig::default(),
+                    )
+                })
             })
             .collect();
         let overlap_by_model: Vec<f64> = params
@@ -794,14 +746,6 @@ impl SweepPlan {
                     .2
             })
             .collect();
-        let delta_by_model: Vec<(usize, f64)> = delta_stats_by_model
-            .iter()
-            .map(|s| (s.frames_delta, s.modelled_speedup()))
-            .collect();
-        let mut delta_stats = DeltaStats::default();
-        for s in &delta_stats_by_model {
-            delta_stats.merge(s);
-        }
 
         // Stage 2 — build the indexed work-list. Cell order is canonical
         // (model, then configuration, then SPADE/Dense/SpConv2D/PointAcc), so
@@ -930,8 +874,6 @@ impl SweepPlan {
             num_frames,
             runs_by_model,
             overlap_by_model,
-            delta_by_model,
-            delta_stats,
             items,
             duels,
             workload_ranges,
@@ -991,8 +933,8 @@ fn finish_result(
         num_swept_axes: params.axes.num_swept_axes(),
         spade_dense_wins: wins,
         spade_dense_comparisons: plan.duels.len(),
-        delta: params.delta,
-        delta_stats: plan.delta_stats,
+        delta: false,
+        delta_stats: DeltaStats,
         adaptive: params.adaptive,
         cells_screened: screen.cells_screened,
         cells_simulated: screen.cells_simulated,
@@ -1007,9 +949,8 @@ impl DseResult {
         self.cells.iter().filter(|c| c.on_frontier).collect()
     }
 
-    /// The full grid as a [`ReportTable`] (one row per cell). Delta-enabled
-    /// runs append the `frames_delta_executed` / `delta_speedup` columns and
-    /// adaptive runs the `simulated` flag plus the `cells_screened` /
+    /// The full grid as a [`ReportTable`] (one row per cell). Adaptive runs
+    /// append the `simulated` flag plus the `cells_screened` /
     /// `cells_simulated` / `frames_saved` counters; default runs keep the
     /// legacy column set, so pre-existing exports stay byte-identical.
     #[must_use]
@@ -1031,10 +972,6 @@ impl DseResult {
             "mean_pillar_overlap",
             "on_frontier",
         ];
-        if self.delta {
-            headers.push("frames_delta_executed");
-            headers.push("delta_speedup");
-        }
         if self.adaptive {
             headers.push("simulated");
             headers.push("cells_screened");
@@ -1060,10 +997,6 @@ impl DseResult {
                 c.mean_pillar_overlap.into(),
                 c.on_frontier.into(),
             ];
-            if self.delta {
-                row.push(c.frames_delta_executed.into());
-                row.push(c.delta_speedup.into());
-            }
             if self.adaptive {
                 row.push(c.simulated.into());
                 // Run-level counters, repeated per row like the other
@@ -1117,18 +1050,6 @@ impl DseResult {
                 s,
                 "adaptive exploration: {} cells screened by roofline bound, {} simulated, {} drive frames saved",
                 self.cells_screened, self.cells_simulated, self.frames_saved,
-            );
-        }
-        if self.delta {
-            let _ = writeln!(
-                s,
-                "delta execution: {}/{} frames patched, {}/{}/{} layers reused/patched/full, modelled rulegen speedup {:.2}x",
-                self.delta_stats.frames_delta,
-                self.delta_stats.frames_total,
-                self.delta_stats.layers_reused,
-                self.delta_stats.layers_patched,
-                self.delta_stats.layers_full,
-                self.delta_stats.modelled_speedup(),
             );
         }
         let _ = writeln!(

@@ -14,8 +14,8 @@
 //! The [`serve`] module turns the sweep into a long-running TCP service
 //! (`spade-serve`): requests travel as [`protocol`] frames, duplicate
 //! sweeps are deduped in flight, completed results are cached, and
-//! persistent-world drives stream frame-by-frame through the temporal
-//! delta path. [`loadgen`] (`spade-loadgen`) replays seeded Zipfian
+//! persistent-world drives are cached and executed frame by frame.
+//! [`loadgen`] (`spade-loadgen`) replays seeded Zipfian
 //! request mixes against it and reports throughput, latency percentiles,
 //! and cache hit-rate.
 

@@ -10,9 +10,9 @@
 //!   Lengths above [`MAX_FRAME_BYTES`] are rejected before any allocation,
 //!   so a garbage prefix cannot balloon the server.
 //! * **Requests** — one verb per frame: `SWEEP <params>` runs (or serves
-//!   from cache) a DSE sweep, `FRAME <fields>` advances a persistent-world
-//!   drive stream one frame through the server's per-(drive, model)
-//!   [`spade_nn::FrameDeltaState`], `STATS`, `PING`, and `SHUTDOWN`.
+//!   from cache) a DSE sweep, `FRAME <fields>` executes one frame of a
+//!   persistent-world drive the server caches per (drive, model), `STATS`,
+//!   `PING`, and `SHUTDOWN`.
 //! * **Responses** — `OK <meta>` on the first line (space-separated
 //!   `key=value` tokens, e.g. `hit=1`) with the body (CSV grid, stats
 //!   lines) on the following lines, or `ERR <message>`. A `SWEEP` reply
@@ -107,8 +107,7 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
 pub enum Request {
     /// Run (or serve from cache) the sweep described by the params.
     Sweep(DseParams),
-    /// Advance a persistent-world drive stream by one frame through the
-    /// server's per-(drive, model) delta state.
+    /// Execute one frame of a persistent-world drive stream.
     Frame(FrameRequest),
     /// Report service counters.
     Stats,
@@ -121,8 +120,8 @@ pub enum Request {
 /// The fields of a `FRAME` streamed-drive request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameRequest {
-    /// Client-chosen drive identity; the server keys its
-    /// [`spade_nn::FrameDeltaState`] on `(drive, model)`.
+    /// Client-chosen drive identity; the server caches the generated drive
+    /// per `(drive, model)`.
     pub drive: String,
     /// Scripted scenario the drive plays.
     pub scenario: NamedScenario,
@@ -339,7 +338,6 @@ pub fn encode_params(params: &DseParams) -> String {
     if let Some(scenario) = params.scenario {
         let _ = write!(s, ";scenario={}", scenario.name());
     }
-    let _ = write!(s, ";delta={}", u8::from(params.delta));
     let axes = &params.axes;
     let _ = write!(
         s,
@@ -442,11 +440,6 @@ pub fn decode_params(line: &str) -> Result<DseParams, String> {
         }
         None => None,
     };
-    let delta = match get("delta")? {
-        "0" => false,
-        "1" => true,
-        other => return Err(format!("delta expects 0 or 1, got '{other}'")),
-    };
     let pe_dims = split_list(get("pe")?)
         .map(|tok| {
             let (r, c) = tok
@@ -505,7 +498,6 @@ pub fn decode_params(line: &str) -> Result<DseParams, String> {
         base_seed: parse_num(get("seed")?, "seed")?,
         profile,
         scenario,
-        delta,
         adaptive,
     })
 }
@@ -632,7 +624,6 @@ mod tests {
     fn sample_params() -> DseParams {
         let mut params = DseParams::default_for(WorkloadScale::Reduced);
         params.scenario = Some(NamedScenario::StopAndGo);
-        params.delta = true;
         params.models = vec![ModelKind::Scp3, ModelKind::Spp2];
         params
     }
@@ -677,6 +668,15 @@ mod tests {
         let spelled = decode_params(&format!("{encoded};adaptive=0")).unwrap();
         assert_eq!(spelled, legacy);
         assert_eq!(cache_key(&spelled), cache_key(&legacy));
+        // Lines from before delta execution was retired still carry a
+        // `delta=` key; it is ignored like any unknown key, so either value
+        // decodes to the line without it.
+        assert!(!encoded.contains("delta="), "'{encoded}' leaks 'delta='");
+        for retired in ["delta=0", "delta=1"] {
+            let (head, tail) = encoded.split_once(";pe=").unwrap();
+            let line = format!("{head};{retired};pe={tail}");
+            assert_eq!(decode_params(&line).unwrap(), legacy, "{line}");
+        }
         // Adaptive exploration changes the exported bytes (extra columns,
         // bound-valued screened cells), so it must key separately.
         let mut adaptive = legacy.clone();
@@ -752,7 +752,7 @@ mod tests {
             ("NUKE the grid", "unknown verb"),
             ("SWEEP scale=warp", "unknown scale"),
             ("SWEEP scale=reduced", "missing field"),
-            ("SWEEP scale=reduced;models=SPP9;frames=1;seed=1;profile=const;delta=0;pe=16x16;sram=1;ghz=1;bpc=12.8;df=7", "unknown model"),
+            ("SWEEP scale=reduced;models=SPP9;frames=1;seed=1;profile=const;pe=16x16;sram=1;ghz=1;bpc=12.8;df=7", "unknown model"),
             ("FRAME drive=x;scenario=volcano;model=SPP2;seed=1;frames=2;index=0", "unknown scenario"),
             // A ';' in a drive name parses as an injected extra field.
             ("FRAME drive=x;evil=1;scenario=tunnel;model=SPP2;scale=reduced;seed=1;frames=2;index=0", "unexpected field"),
@@ -760,9 +760,9 @@ mod tests {
             ("FRAME drive= x;scenario=tunnel;model=SPP2;scale=reduced;seed=1;frames=2;index=0", "whitespace"),
             ("FRAME drive=;scenario=tunnel;model=SPP2;scale=reduced;seed=1;frames=2;index=0", "must not be empty"),
             ("FRAME drive=x;drive=y;scenario=tunnel;model=SPP2;scale=reduced;seed=1;frames=2;index=0", "duplicate field"),
-            ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=ramp:0.5:inf;delta=0;pe=16x16;sram=1;ghz=1;bpc=12.8;df=7", "finite"),
-            ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;delta=0;pe=16x16;sram=1;ghz=1;bpc=12.8;df=7;adaptive=2", "adaptive expects 0 or 1"),
-            ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;delta=0;pe=16x16;sram=1;ghz=1;bpc=12.8;df=7;bank=many", "bank expects an integer"),
+            ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=ramp:0.5:inf;pe=16x16;sram=1;ghz=1;bpc=12.8;df=7", "finite"),
+            ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;pe=16x16;sram=1;ghz=1;bpc=12.8;df=7;adaptive=2", "adaptive expects 0 or 1"),
+            ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;pe=16x16;sram=1;ghz=1;bpc=12.8;df=7;bank=many", "bank expects an integer"),
         ] {
             let err = decode_request(payload).unwrap_err();
             assert!(err.contains(needle), "'{err}' lacks '{needle}'");

@@ -25,21 +25,19 @@
 //!   so N concurrent sweeps cannot oversubscribe the host: total extra
 //!   threads stay ≤ budget tokens, and each caller always makes inline
 //!   progress (a zero-token budget degrades to serial execution).
-//! * **Persistent-world streams.** A `FRAME` request advances one drive
-//!   one frame through a per-`(drive, model)` [`FrameDeltaState`], the
-//!   temporal-delta path of PR 6 — consecutive frames of a client's drive
-//!   are patched, not re-swept. Per-frame [`DeltaStats`] are drained into
-//!   the service-wide aggregate that `STATS` reports.
-//!
-//! [`spade_nn::FrameDeltaState`]: FrameDeltaState
+//! * **Persistent-world streams.** A `FRAME` request executes one frame of
+//!   a drive that the server generates once per `(drive, model)` and keeps;
+//!   each frame runs the same stateless executor as a sweep, so the reply
+//!   is what [`crate::workload::model_run_on_frame`] gives for that frame,
+//!   in any request order.
 
 use crate::dse::{run_dse_on_pool, DseParams};
 use crate::pool::{ConcurrencyBudget, WorkerPool};
 use crate::protocol::{
     canonicalize_params, encode_params, write_frame, FrameRequest, Request, Response,
 };
-use crate::workload::model_run_on_frame_delta;
-use spade_nn::{DeltaPolicy, DeltaStats, FrameDeltaState, ModelKind, PruningConfig};
+use crate::workload::model_run_on_frame;
+use spade_nn::{ModelKind, PruningConfig};
 use spade_pointcloud::dataset::{DatasetKind, DatasetPreset};
 use spade_pointcloud::{DriveFrame, DriveScenario, DriveScenarioConfig};
 use std::collections::HashMap;
@@ -232,10 +230,6 @@ struct ServiceStats {
     cells_screened: u64,
     cells_simulated: u64,
     frames_saved: u64,
-    /// Delta-execution counters aggregated across every served sweep and
-    /// every drive stream (drained per-request via
-    /// [`FrameDeltaState::take_stats`], so nothing is double-counted).
-    delta: DeltaStats,
 }
 
 /// One completed sweep result plus its LRU clock stamp.
@@ -365,13 +359,11 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// One client drive stream: the generated drive plus the delta state that
-/// carries rule structures from frame to frame.
+/// One client drive stream: the drive, generated on its first frame.
 struct StreamEntry {
     scenario_config: DriveScenarioConfig,
     preset: DatasetPreset,
     frames: Option<Vec<DriveFrame>>,
-    state: FrameDeltaState,
 }
 
 impl StreamEntry {
@@ -384,7 +376,6 @@ impl StreamEntry {
             scenario_config: request.scenario.config(request.frames, request.seed),
             preset,
             frames: None,
-            state: FrameDeltaState::new(DeltaPolicy::default()),
         }
     }
 
@@ -428,9 +419,8 @@ impl StreamSlot {
 ///
 /// Lock-order discipline: `state` and a per-stream entry lock are **never**
 /// held at the same time. Admission reads stream identities from
-/// [`StreamSlot`] under `state` alone; frame execution holds only the
-/// entry lock; stats publication re-takes `state` only after the entry
-/// guard is dropped. Holding both in either order would let two concurrent
+/// [`StreamSlot`] under `state` alone, and frame execution holds only the
+/// entry lock. Holding both in either order would let two concurrent
 /// `FRAME` requests for one drive deadlock every handler thread.
 ///
 /// The discipline is machine-checked twice over: statically by
@@ -709,7 +699,6 @@ fn handle_sweep(shared: &Shared, params: &DseParams) -> Response {
             let body: Arc<str> = Arc::from(result.to_csv());
             {
                 let mut st = lock_ranked(&shared.state, lockdep::Rank::State);
-                st.stats.delta.merge(&result.delta_stats);
                 st.stats.cells_screened += result.cells_screened as u64;
                 st.stats.cells_simulated += result.cells_simulated as u64;
                 st.stats.frames_saved += result.frames_saved as u64;
@@ -739,66 +728,42 @@ fn handle_frame(shared: &Shared, request: FrameRequest) -> Response {
             .entry(stream_key)
             .or_insert_with(|| StreamSlot::new(request.clone()));
         // Same drive identity but a different drive: the client restarted,
-        // so the stream (and its delta state) restarts with it. The check
-        // reads the slot's identity copy — taking the entry lock here
-        // would invert the lock order against the stats merge below.
+        // so the stream restarts with it. The check reads the slot's
+        // identity copy — taking the entry lock while holding the state
+        // lock would break the declared lock order.
         if !slot.matches(&request) {
             *slot = StreamSlot::new(request.clone());
         }
         Arc::clone(&slot.entry)
     };
-    // Frame generation and model execution run under the per-stream lock
+    // Drive generation and model execution run under the per-stream lock
     // only — concurrent requests for *different* drives proceed in
-    // parallel; requests for the same drive serialise, which is exactly
-    // the in-order contract FrameDeltaState needs.
+    // parallel; requests for the same drive serialise, so its drive is
+    // generated once.
     let mut entry = lock_ranked(&entry, lockdep::Rank::StreamEntry);
     entry.ensure_frames();
     let pruning_seed = entry.scenario_config.pruning_seed(request.index);
-    let StreamEntry {
-        preset,
-        frames,
-        state,
-        ..
-    } = &mut *entry;
     // lint:allow(panic): `ensure_frames` just populated the option, and the
     // index was bounds-checked against `request.frames` at function entry.
-    let frame = &frames.as_deref().expect("ensured above")[request.index].frame;
-    let run = model_run_on_frame_delta(
+    let frame = &entry.frames.as_deref().expect("ensured above")[request.index].frame;
+    let run = model_run_on_frame(
         request.model,
-        preset,
+        &entry.preset,
         frame,
         pruning_seed,
         request.scale,
         PruningConfig::default(),
-        state,
     );
-    let frame_stats = state.take_stats();
-    // Release the per-stream lock before re-entering the state lock: the
-    // two are never held together (see the lock-order note on `Shared`).
     drop(entry);
-    {
-        let mut st = lock_ranked(&shared.state, lockdep::Rank::State);
-        st.stats.delta.merge(&frame_stats);
-    }
-    let meta = format!(
-        "index={} delta={}",
-        request.index,
-        u8::from(frame_stats.frames_delta > 0)
-    );
     let body = format!(
-        "model={}\nframe={}/{}\nlayers={}\nencoder_macs={}\nlayers_reused={}\nlayers_patched={}\nlayers_full={}\nrows_swept={}\nrows_full_equivalent={}",
+        "model={}\nframe={}/{}\nlayers={}\nencoder_macs={}",
         run.kind.name(),
         request.index,
         request.frames,
         run.workloads.len(),
         run.encoder_macs,
-        frame_stats.layers_reused,
-        frame_stats.layers_patched,
-        frame_stats.layers_full,
-        frame_stats.rows_swept,
-        frame_stats.rows_full_equivalent,
     );
-    Response::ok(meta, body)
+    Response::ok(format!("index={}", request.index), body)
 }
 
 fn stats_response(shared: &Shared) -> Response {
@@ -810,7 +775,7 @@ fn stats_response(shared: &Shared) -> Response {
         0.0
     };
     let body = format!(
-        "requests_total={}\nsweeps_requested={}\nsweeps_executed={}\ncache_hits={}\ncache_hit_rate={hit_rate}\ndedup_joined={}\nframes_served={}\nerrors={}\ninflight={}\ncache_entries={}\ncache_bytes={}\nstreams={}\nbudget_available={}\ncells_screened={}\ncells_simulated={}\nframes_saved={}\ndelta_frames_total={}\ndelta_frames_delta={}\ndelta_layers_reused={}\ndelta_layers_patched={}\ndelta_layers_full={}\ndelta_rows_swept={}\ndelta_rows_full_equivalent={}\ndelta_modelled_speedup={}",
+        "requests_total={}\nsweeps_requested={}\nsweeps_executed={}\ncache_hits={}\ncache_hit_rate={hit_rate}\ndedup_joined={}\nframes_served={}\nerrors={}\ninflight={}\ncache_entries={}\ncache_bytes={}\nstreams={}\nbudget_available={}\ncells_screened={}\ncells_simulated={}\nframes_saved={}",
         stats.requests_total,
         stats.sweeps_requested,
         stats.sweeps_executed,
@@ -826,14 +791,6 @@ fn stats_response(shared: &Shared) -> Response {
         stats.cells_screened,
         stats.cells_simulated,
         stats.frames_saved,
-        stats.delta.frames_total,
-        stats.delta.frames_delta,
-        stats.delta.layers_reused,
-        stats.delta.layers_patched,
-        stats.delta.layers_full,
-        stats.delta.rows_swept,
-        stats.delta.rows_full_equivalent,
-        stats.delta.modelled_speedup(),
     );
     Response::ok("stats", body)
 }

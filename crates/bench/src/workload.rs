@@ -1,11 +1,8 @@
 //! Shared workload construction for the experiments.
 
 use spade_core::{Accelerator, NetworkPerf, SpadeAccelerator, SpadeConfig};
-use spade_nn::graph::{
-    execute_pattern_delta, execute_pattern_with_arena, ExecutionContext, LayerWorkload,
-    NetworkTrace,
-};
-use spade_nn::{ExecutionArena, FrameDeltaState, Model, ModelKind, PruningConfig};
+use spade_nn::graph::{execute_pattern_with_arena, ExecutionContext, LayerWorkload, NetworkTrace};
+use spade_nn::{ExecutionArena, Model, ModelKind, PruningConfig};
 use spade_pointcloud::dataset::{DatasetKind, DatasetPreset, Frame};
 use spade_tensor::GridShape;
 use std::cell::RefCell;
@@ -77,41 +74,6 @@ pub fn model_run_on_frame(
     scale: WorkloadScale,
     pruning: PruningConfig,
 ) -> ModelRun {
-    model_run_on_frame_inner(kind, preset, frame, seed, scale, pruning, None)
-}
-
-/// Like [`model_run_on_frame`], but executes the network through the
-/// temporal delta path: `state` carries the previous frame's rule
-/// structures, and layers whose inputs barely moved are patched instead of
-/// re-swept (see [`spade_nn::rulegen::delta`]).
-///
-/// The result is byte-identical to [`model_run_on_frame`] on the same frame
-/// — the delta path only changes how the trace is computed, never what it
-/// contains. Feed one `state` the frames of **one** drive, in order; an
-/// incompatible or low-overlap frame falls back to a full sweep
-/// automatically.
-#[must_use]
-pub fn model_run_on_frame_delta(
-    kind: ModelKind,
-    preset: &DatasetPreset,
-    frame: &Frame,
-    seed: u64,
-    scale: WorkloadScale,
-    pruning: PruningConfig,
-    state: &mut FrameDeltaState,
-) -> ModelRun {
-    model_run_on_frame_inner(kind, preset, frame, seed, scale, pruning, Some(state))
-}
-
-fn model_run_on_frame_inner(
-    kind: ModelKind,
-    preset: &DatasetPreset,
-    frame: &Frame,
-    seed: u64,
-    scale: WorkloadScale,
-    pruning: PruningConfig,
-    delta: Option<&mut FrameDeltaState>,
-) -> ModelRun {
     let pillar_cfg = preset.pillar_config();
     let base_grid = preset.grid_shape();
     let (grid, coords) = match scale {
@@ -148,17 +110,8 @@ fn model_run_on_frame_inner(
         pillar_config: Some(&pillar_cfg),
         seed,
     };
-    let (trace, workloads) = ARENA.with_borrow_mut(|arena| match delta {
-        Some(state) => execute_pattern_delta(
-            model.spec(),
-            &coords,
-            grid,
-            encoder_macs,
-            &ctx,
-            arena,
-            state,
-        ),
-        None => execute_pattern_with_arena(model.spec(), &coords, grid, encoder_macs, &ctx, arena),
+    let (trace, workloads) = ARENA.with_borrow_mut(|arena| {
+        execute_pattern_with_arena(model.spec(), &coords, grid, encoder_macs, &ctx, arena)
     });
     ModelRun {
         kind,

@@ -16,9 +16,7 @@
 
 use crate::conv::ConvKind;
 use crate::kernel::KernelShape;
-use crate::rulegen::delta::{FrameDeltaState, LayerDeltaCache};
-use crate::rulegen::output_grid;
-use crate::rulegen::streaming::{input_row_band, BitmapSweep, RowSource, SliceRows};
+use crate::rulegen::streaming::{BitmapSweep, SliceRows};
 use spade_tensor::{GridShape, PillarCoord};
 use std::sync::Arc;
 
@@ -129,181 +127,8 @@ impl ExecutionArena {
         sweep.sweep_all(out)
     }
 
-    /// As [`ExecutionArena::dilate_and_count`], but additionally records the
-    /// per-row structure (input row pointer, output row spans, per-row rule
-    /// counts) into a layer's delta cache so the *next* frame can splice
-    /// clean rows instead of re-sweeping them. Same sweeps, same outputs.
-    pub(crate) fn dilate_count_and_record(
-        &mut self,
-        coords: &[PillarCoord],
-        in_grid: GridShape,
-        kind: ConvKind,
-        kernel: KernelShape,
-        cache: &mut LayerDeltaCache,
-    ) -> (&[PillarCoord], u64) {
-        let out_grid = output_grid(in_grid, kind);
-        let (mut sweep, out) = self.sweep(coords, in_grid, kind, kernel);
-        cache.out_row_ptr.clear();
-        cache.out_row_ptr.push(0);
-        cache.row_rules.clear();
-        let mut rules = 0u64;
-        for o in 0..out_grid.height {
-            let row_rules = sweep.sweep_row(o);
-            sweep.emit_row(o, out);
-            cache.out_row_ptr.push(out.len());
-            cache.row_rules.push(row_rules);
-            rules += row_rules;
-        }
-        cache.in_row_ptr.clear();
-        cache.in_row_ptr.extend_from_slice(sweep.rows().row_ptr);
-        cache.rules = rules;
-        (out, rules)
-    }
-
-    /// As [`ExecutionArena::count_submanifold_rules`], recording the per-row
-    /// rule counts for the delta path (submanifold layers keep their input
-    /// set, so only the counts need caching).
-    pub(crate) fn count_submanifold_rules_and_record(
-        &mut self,
-        coords: &[PillarCoord],
-        in_grid: GridShape,
-        kernel: KernelShape,
-        cache: &mut LayerDeltaCache,
-    ) -> u64 {
-        let (mut sweep, _) = self.sweep(coords, in_grid, ConvKind::SpConvS, kernel);
-        cache.row_rules.clear();
-        let mut rules = 0u64;
-        for o in 0..in_grid.height {
-            let row_rules = sweep.sweep_row(o);
-            cache.row_rules.push(row_rules);
-            rules += row_rules;
-        }
-        cache.in_row_ptr.clear();
-        cache.in_row_ptr.extend_from_slice(sweep.rows().row_ptr);
-        cache.rules = rules;
-        rules
-    }
-
-    /// Row-granular delta re-dilation: output rows whose receptive-field band
-    /// saw no input change are copied from the previous frame's cache; dirty
-    /// rows are re-swept with the same per-row sweep the full path uses, so
-    /// the spliced result is byte-identical to a from-scratch
-    /// [`ExecutionArena::dilate_and_count`]. The cache is updated to the new
-    /// frame (except `input`, which the caller owns and re-points).
-    ///
-    /// Returns the new dilated set (the previous frame's `Arc` is reused when
-    /// the value did not change, propagating pointer-equality downstream),
-    /// the rule count, and the number of rows actually swept.
-    pub(crate) fn delta_dilate_and_count(
-        &mut self,
-        coords: &[PillarCoord],
-        in_grid: GridShape,
-        kind: ConvKind,
-        kernel: KernelShape,
-        state: &mut FrameDeltaState,
-        layer_idx: usize,
-    ) -> (Arc<[PillarCoord]>, u64, u64) {
-        let out_grid = output_grid(in_grid, kind);
-        let (mut sweep, _) = self.sweep(coords, in_grid, kind, kernel);
-        let FrameDeltaState {
-            layers,
-            dirty_in,
-            staged_coords,
-            staged_row_ptr,
-            staged_row_rules,
-            ..
-        } = state;
-        let cache = &mut layers[layer_idx];
-        mark_dirty_rows(cache, sweep.rows(), in_grid, dirty_in);
-        let prev_dilated = cache
-            .dilated
-            .as_ref()
-            .expect("delta splice requires a recorded dilation");
-        staged_coords.clear();
-        staged_row_ptr.clear();
-        staged_row_ptr.push(0);
-        staged_row_rules.clear();
-        let mut rules = 0u64;
-        let mut rows_swept = 0u64;
-        for o in 0..out_grid.height {
-            let dirty = input_row_band(o, in_grid, kind, kernel)
-                .is_some_and(|(lo, hi)| dirty_in[lo as usize..=hi as usize].contains(&true));
-            let row_rules = if dirty {
-                rows_swept += 1;
-                let rr = sweep.sweep_row(o);
-                sweep.emit_row(o, staged_coords);
-                rr
-            } else {
-                let span =
-                    &prev_dilated[cache.out_row_ptr[o as usize]..cache.out_row_ptr[o as usize + 1]];
-                staged_coords.extend_from_slice(span);
-                cache.row_rules[o as usize]
-            };
-            staged_row_ptr.push(staged_coords.len());
-            staged_row_rules.push(row_rules);
-            rules += row_rules;
-        }
-        let dilated: Arc<[PillarCoord]> = if staged_coords[..] == prev_dilated[..] {
-            Arc::clone(prev_dilated)
-        } else {
-            Arc::from(&staged_coords[..])
-        };
-        // Commit the new frame into the cache, swapping the staged row
-        // structures in so the scratch capacity is reused next frame.
-        std::mem::swap(&mut cache.out_row_ptr, staged_row_ptr);
-        std::mem::swap(&mut cache.row_rules, staged_row_rules);
-        cache.in_row_ptr.clear();
-        cache.in_row_ptr.extend_from_slice(sweep.rows().row_ptr);
-        cache.dilated = Some(Arc::clone(&dilated));
-        cache.rules = rules;
-        (dilated, rules, rows_swept)
-    }
-
-    /// Row-granular delta rule recount for a submanifold layer (the output
-    /// set is the input set; only per-row rule counts are spliced).
-    ///
-    /// Returns the rule count and the number of rows re-swept.
-    pub(crate) fn delta_count_submanifold(
-        &mut self,
-        coords: &[PillarCoord],
-        in_grid: GridShape,
-        kernel: KernelShape,
-        state: &mut FrameDeltaState,
-        layer_idx: usize,
-    ) -> (u64, u64) {
-        let (mut sweep, _) = self.sweep(coords, in_grid, ConvKind::SpConvS, kernel);
-        let FrameDeltaState {
-            layers,
-            dirty_in,
-            staged_row_rules,
-            ..
-        } = state;
-        let cache = &mut layers[layer_idx];
-        mark_dirty_rows(cache, sweep.rows(), in_grid, dirty_in);
-        staged_row_rules.clear();
-        let mut rules = 0u64;
-        let mut rows_swept = 0u64;
-        for o in 0..in_grid.height {
-            let dirty = input_row_band(o, in_grid, ConvKind::SpConvS, kernel)
-                .is_some_and(|(lo, hi)| dirty_in[lo as usize..=hi as usize].contains(&true));
-            let row_rules = if dirty {
-                rows_swept += 1;
-                sweep.sweep_row(o)
-            } else {
-                cache.row_rules[o as usize]
-            };
-            staged_row_rules.push(row_rules);
-            rules += row_rules;
-        }
-        std::mem::swap(&mut cache.row_rules, staged_row_rules);
-        cache.in_row_ptr.clear();
-        cache.in_row_ptr.extend_from_slice(sweep.rows().row_ptr);
-        cache.rules = rules;
-        (rules, rows_swept)
-    }
-
     /// Capacities of the arena's scratch buffers — pinned by the test that
-    /// asserts the steady-state delta path stops allocating.
+    /// asserts the steady-state executor stops allocating.
     #[must_use]
     pub fn scratch_capacities(&self) -> [usize; 6] {
         [
@@ -345,27 +170,6 @@ impl ExecutionArena {
         self.scratch.sort();
         self.scratch.dedup();
         Arc::from(&self.scratch[..])
-    }
-}
-
-/// Marks the dirty input rows of a layer in `dirty_in`: rows whose column
-/// set differs between the cached previous input and the current one.
-fn mark_dirty_rows(
-    cache: &LayerDeltaCache,
-    rows: &SliceRows<'_>,
-    in_grid: GridShape,
-    dirty_in: &mut Vec<bool>,
-) {
-    let prev_input = cache
-        .input
-        .as_ref()
-        .expect("delta splice requires a populated layer cache");
-    dirty_in.clear();
-    dirty_in.resize(in_grid.height as usize, false);
-    for (r, dirty) in dirty_in.iter_mut().enumerate() {
-        let prev = &prev_input[cache.in_row_ptr[r]..cache.in_row_ptr[r + 1]];
-        let next = rows.row(r as u32).1;
-        *dirty = prev.len() != next.len() || prev.iter().zip(next).any(|(p, &n)| p.col != n);
     }
 }
 
@@ -432,74 +236,14 @@ mod tests {
     }
 
     #[test]
-    fn delta_splice_methods_match_full_sweeps() {
-        let grid = GridShape::new(16, 16);
-        let prev: Vec<PillarCoord> = vec![
-            PillarCoord::new(1, 1),
-            PillarCoord::new(1, 2),
-            PillarCoord::new(4, 6),
-            PillarCoord::new(7, 0),
-            PillarCoord::new(12, 9),
-        ];
-        // Move one pillar: rows 4 and 5 become dirty, the rest splice.
-        let next: Vec<PillarCoord> = vec![
-            PillarCoord::new(1, 1),
-            PillarCoord::new(1, 2),
-            PillarCoord::new(5, 6),
-            PillarCoord::new(7, 0),
-            PillarCoord::new(12, 9),
-        ];
-        let prev_arc: Arc<[PillarCoord]> = Arc::from(&prev[..]);
-        for (kind, kernel) in [
-            (ConvKind::SpConv, KernelShape::k3x3()),
-            (ConvKind::SpStConv, KernelShape::k3x3()),
-            (ConvKind::SpDeconv, KernelShape::k2x2()),
-        ] {
-            let mut arena = ExecutionArena::new();
-            let mut state = crate::rulegen::delta::FrameDeltaState::default();
-            state.layers.push(Default::default());
-            let (out, rules) =
-                arena.dilate_count_and_record(&prev, grid, kind, kernel, &mut state.layers[0]);
-            let recorded: Arc<[PillarCoord]> = Arc::from(out);
-            state.layers[0].dilated = Some(Arc::clone(&recorded));
-            state.layers[0].input = Some(Arc::clone(&prev_arc));
-            let (full_out, full_rules) = {
-                let mut fresh = ExecutionArena::new();
-                let (o, r) = fresh.dilate_and_count(&prev, grid, kind, kernel);
-                (o.to_vec(), r)
-            };
-            assert_eq!(&recorded[..], &full_out[..], "record diverged for {kind}");
-            assert_eq!(rules, full_rules, "record rules diverged for {kind}");
-            let (patched, rules, swept) =
-                arena.delta_dilate_and_count(&next, grid, kind, kernel, &mut state, 0);
-            let mut fresh = ExecutionArena::new();
-            let (oracle, oracle_rules) = fresh.dilate_and_count(&next, grid, kind, kernel);
-            assert_eq!(&patched[..], oracle, "splice diverged for {kind}");
-            assert_eq!(rules, oracle_rules, "splice rules diverged for {kind}");
-            let out_rows = u64::from(crate::rulegen::output_grid(grid, kind).height);
-            assert!(swept > 0 && swept < out_rows, "kind {kind}: swept {swept}");
-        }
-        // Submanifold counts splice row-wise too.
-        let mut arena = ExecutionArena::new();
-        let mut state = crate::rulegen::delta::FrameDeltaState::default();
-        state.layers.push(Default::default());
-        let k = KernelShape::k3x3();
-        arena.count_submanifold_rules_and_record(&prev, grid, k, &mut state.layers[0]);
-        state.layers[0].input = Some(Arc::clone(&prev_arc));
-        let (rules, swept) = arena.delta_count_submanifold(&next, grid, k, &mut state, 0);
-        let mut fresh = ExecutionArena::new();
-        assert_eq!(rules, fresh.count_submanifold_rules(&next, grid, k));
-        assert!(swept > 0 && swept < u64::from(grid.height));
-    }
-
-    #[test]
-    fn delta_path_stops_allocating_after_warm_up() {
+    fn executor_stops_allocating_after_warm_up() {
         use crate::conv::LayerSpec;
         use crate::graph::{
-            execute_pattern_delta, ExecutionContext, LayerInput, NetworkLayer, NetworkSpec,
+            execute_pattern_with_arena, ExecutionContext, LayerInput, NetworkLayer, NetworkSpec,
         };
+        use crate::zoo::{Model, ModelKind};
         let grid = GridShape::new(32, 32);
-        let spec = NetworkSpec {
+        let toy = NetworkSpec {
             name: "warm".into(),
             encoder_channels: 4,
             layers: vec![
@@ -523,8 +267,7 @@ mod tests {
                 },
             ],
         };
-        // Two alternating frames differing by one moved pillar: every frame
-        // after the first takes the delta path.
+        // Two alternating frames differing by one moved pillar.
         let a: Vec<PillarCoord> = (0..30)
             .map(|i| PillarCoord::new((i * 7) % 32, (i * 11) % 32))
             .collect::<std::collections::BTreeSet<_>>()
@@ -536,23 +279,19 @@ mod tests {
         b.sort();
         b.dedup();
         let ctx = ExecutionContext::default();
-        let mut arena = ExecutionArena::new();
-        let mut state = crate::rulegen::delta::FrameDeltaState::default();
-        // Warm-up: one full frame plus one delta frame of each flavour.
-        for coords in [&a, &b, &a] {
-            let _ = execute_pattern_delta(&spec, coords, grid, 0, &ctx, &mut arena, &mut state);
+        for spec in [toy, Model::build(ModelKind::Spp2).spec().clone()] {
+            let mut arena = ExecutionArena::new();
+            // Warm-up: both frames once, so every buffer has seen its peak.
+            for coords in [&a, &b, &a] {
+                let _ = execute_pattern_with_arena(&spec, coords, grid, 0, &ctx, &mut arena);
+            }
+            let caps = arena.scratch_capacities();
+            // Steady state: every scratch buffer is reused as-is.
+            for coords in [&b, &a, &b, &a, &b] {
+                let _ = execute_pattern_with_arena(&spec, coords, grid, 0, &ctx, &mut arena);
+                assert_eq!(arena.scratch_capacities(), caps, "{}", spec.name);
+            }
         }
-        let arena_caps = arena.scratch_capacities();
-        let state_caps = state.scratch_capacities();
-        // Steady state: the coord-diff and halo-row scratch buffers must be
-        // reused as-is — zero reallocation on the delta path.
-        for coords in [&b, &a, &b, &a, &b] {
-            let _ = execute_pattern_delta(&spec, coords, grid, 0, &ctx, &mut arena, &mut state);
-            assert_eq!(arena.scratch_capacities(), arena_caps);
-            assert_eq!(state.scratch_capacities(), state_caps);
-        }
-        assert_eq!(state.stats().frames_total, 8);
-        assert_eq!(state.stats().frames_delta, 7);
     }
 
     /// Kernels for the bitmap-sweep oracles: every shape the zoo uses, the
@@ -606,21 +345,6 @@ mod tests {
         out
     }
 
-    /// `prev` with the middle row's occupancy flipped and the bottom-right
-    /// cell toggled: a frame whose change is confined to two rows.
-    fn oracle_next(grid: GridShape, prev: &[PillarCoord]) -> Vec<PillarCoord> {
-        let mut flip: Vec<PillarCoord> = (0..grid.width)
-            .map(|c| PillarCoord::new(grid.height / 2, c))
-            .collect();
-        flip.push(PillarCoord::new(grid.height - 1, grid.width - 1));
-        let mut next: Vec<PillarCoord> =
-            prev.iter().filter(|c| !flip.contains(c)).copied().collect();
-        next.extend(flip.iter().filter(|c| !prev.contains(c)));
-        next.sort();
-        next.dedup();
-        next
-    }
-
     /// `graph::count_rules` treats SpDeconv offsets as unsigned, so it only
     /// covers kernels without negative offsets there.
     fn count_rules_covers(kind: ConvKind, kernel: KernelShape) -> bool {
@@ -668,54 +392,6 @@ mod tests {
                                 crate::graph::count_rules(&coords, grid, out_grid, kind, kernel);
                             assert_eq!(rules, counted, "count_rules: {case}");
                         }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bitmap_delta_splices_match_the_merge() {
-        let mut arena = ExecutionArena::new();
-        for grid in oracle_grids() {
-            let prev = oracle_coords(grid, u64::from(grid.width) + 7);
-            let next = oracle_next(grid, &prev);
-            let prev_arc: Arc<[PillarCoord]> = Arc::from(&prev[..]);
-            let prev_t = CprTensor::from_sorted_coords(grid, 1, &prev);
-            let next_t = CprTensor::from_sorted_coords(grid, 1, &next);
-            for kind in SPARSE_KINDS {
-                for kernel in oracle_kernels() {
-                    let case = format!("{kind} {kernel:?} on {grid:?}");
-                    let (prev_book, next_book) = (
-                        rulegen::generate_rules(&prev_t, kind, kernel),
-                        rulegen::generate_rules(&next_t, kind, kernel),
-                    );
-                    let mut state = crate::rulegen::delta::FrameDeltaState::default();
-                    state.layers.push(Default::default());
-                    let cache = &mut state.layers[0];
-                    if kind == ConvKind::SpConvS {
-                        let rules =
-                            arena.count_submanifold_rules_and_record(&prev, grid, kernel, cache);
-                        assert_eq!(rules, prev_book.num_rules() as u64, "record: {case}");
-                        cache.input = Some(Arc::clone(&prev_arc));
-                        let (rules, _) =
-                            arena.delta_count_submanifold(&next, grid, kernel, &mut state, 0);
-                        assert_eq!(rules, next_book.num_rules() as u64, "splice: {case}");
-                    } else {
-                        let (out, rules) =
-                            arena.dilate_count_and_record(&prev, grid, kind, kernel, cache);
-                        assert_eq!(out, prev_book.output_coords(), "record outputs: {case}");
-                        assert_eq!(rules, prev_book.num_rules() as u64, "record rules: {case}");
-                        cache.dilated = Some(Arc::from(out));
-                        cache.input = Some(Arc::clone(&prev_arc));
-                        let (out, rules, _) =
-                            arena.delta_dilate_and_count(&next, grid, kind, kernel, &mut state, 0);
-                        assert_eq!(
-                            &out[..],
-                            next_book.output_coords(),
-                            "splice outputs: {case}"
-                        );
-                        assert_eq!(rules, next_book.num_rules() as u64, "splice rules: {case}");
                     }
                 }
             }

@@ -23,7 +23,6 @@
 use crate::arena::ExecutionArena;
 use crate::conv::{ConvKind, LayerSpec};
 use crate::pruning::{ImportanceModel, PruningConfig, VectorPruner};
-use crate::rulegen::delta::{changed_fraction, DeltaStats, FrameDeltaState, LayerDeltaCache};
 use serde::{Deserialize, Serialize};
 use spade_pointcloud::pillarize::PillarizationConfig;
 use spade_pointcloud::Scene;
@@ -222,58 +221,6 @@ pub fn execute_pattern(
     )
 }
 
-/// [`execute_pattern`] with caller-owned scratch: every layer's dilation,
-/// rule count, and output set come from one row-bitmap sweep over the
-/// arena's reusable buffers, so the layer loop performs no per-layer
-/// `BTreeSet`/`CprTensor` construction and no repeated input walks.
-#[must_use]
-pub fn execute_pattern_with_arena(
-    spec: &NetworkSpec,
-    initial_coords: &[PillarCoord],
-    grid: GridShape,
-    encoder_macs: u64,
-    ctx: &ExecutionContext<'_>,
-    arena: &mut ExecutionArena,
-) -> (NetworkTrace, Vec<LayerWorkload>) {
-    execute_pattern_inner(spec, initial_coords, grid, encoder_macs, ctx, arena, None)
-}
-
-/// [`execute_pattern_with_arena`] with temporal delta execution: feed
-/// consecutive frames of **one** drive, in order, through the same
-/// [`FrameDeltaState`] and layers whose inputs barely changed are served by
-/// row-splicing the previous frame's outputs ([`crate::rulegen::delta`])
-/// instead of re-sweeping every output row.
-///
-/// The result is byte-identical to [`execute_pattern_with_arena`] on every
-/// frame: the delta path shares this single executor body with the full
-/// path, differing only in *how* each layer's dilated set and rule count
-/// are produced (row splice vs full sweep — pinned equal by the delta
-/// property tests), never in what is derived from them. Frames that changed
-/// too much (per [`crate::rulegen::delta::DeltaPolicy`]), the first frame,
-/// and network/grid switches automatically fall back to full sweeps while
-/// still recording the caches for the next frame. [`FrameDeltaState::stats`]
-/// reports what the delta path did.
-#[must_use]
-pub fn execute_pattern_delta(
-    spec: &NetworkSpec,
-    initial_coords: &[PillarCoord],
-    grid: GridShape,
-    encoder_macs: u64,
-    ctx: &ExecutionContext<'_>,
-    arena: &mut ExecutionArena,
-    state: &mut FrameDeltaState,
-) -> (NetworkTrace, Vec<LayerWorkload>) {
-    execute_pattern_inner(
-        spec,
-        initial_coords,
-        grid,
-        encoder_macs,
-        ctx,
-        arena,
-        Some(state),
-    )
-}
-
 /// One executed layer's results, kept so that later layers can read its
 /// output and a layer with the same source can reuse all of it.
 #[derive(Clone)]
@@ -289,8 +236,6 @@ struct LayerRun {
     /// Fraction of the dilated foreground pillars that pruning kept (SpConv-P
     /// layers with a scene and some foreground only).
     fg_ratio: Option<f64>,
-    /// What this layer added to the delta counters.
-    stats: DeltaStats,
 }
 
 /// For each layer, the first earlier layer it duplicates, if any: the same
@@ -318,15 +263,18 @@ fn same_source_layers(spec: &NetworkSpec) -> Vec<Option<usize>> {
         .collect()
 }
 
-/// The one executor body behind both the full and delta entry points.
-fn execute_pattern_inner(
+/// [`execute_pattern`] with caller-owned scratch: every layer's dilation,
+/// rule count, and output set come from one row-bitmap sweep over the
+/// arena's reusable buffers, so the layer loop performs no per-layer
+/// `BTreeSet`/`CprTensor` construction and no repeated input walks.
+#[must_use]
+pub fn execute_pattern_with_arena(
     spec: &NetworkSpec,
     initial_coords: &[PillarCoord],
     grid: GridShape,
     encoder_macs: u64,
     ctx: &ExecutionContext<'_>,
     arena: &mut ExecutionArena,
-    mut delta: Option<&mut FrameDeltaState>,
 ) -> (NetworkTrace, Vec<LayerWorkload>) {
     let pruner = VectorPruner::new(ctx.pruning);
     // Layers always produce CPR-ordered in-bounds sets, but the encoder
@@ -346,42 +294,6 @@ fn execute_pattern_inner(
         Arc::from(&arena.scratch[..])
     };
     let same_source = same_source_layers(spec);
-    // Frame-level delta gate: the delta path runs only when the caches hold
-    // the same network on the same grid and the frame-to-frame change stays
-    // within the policy threshold. Anything else (first frame, i.i.d. drive,
-    // scene cut, model switch) falls back to full sweeps — which still
-    // *record* the caches so the next frame can go incremental. Dense layers
-    // and layers that reuse an earlier layer's results never populate a
-    // cache of their own.
-    let mut frame_delta = false;
-    if let Some(state) = delta.as_deref_mut() {
-        state.stats.frames_total += 1;
-        let compatible = state.grid == Some(grid) && state.num_layers == Some(spec.layers.len());
-        if !compatible {
-            state.invalidate();
-            state.grid = Some(grid);
-            state.num_layers = Some(spec.layers.len());
-            state
-                .layers
-                .resize_with(spec.layers.len(), LayerDeltaCache::default);
-        }
-        if let Some(prev) = &state.prev_initial {
-            if compatible
-                && state.policy.accepts(changed_fraction(prev, &initial))
-                && state
-                    .layers
-                    .iter()
-                    .zip(&spec.layers)
-                    .zip(&same_source)
-                    .all(|((c, l), src)| {
-                        l.spec.kind == ConvKind::Dense || src.is_some() || c.is_populated()
-                    })
-            {
-                frame_delta = true;
-                state.stats.frames_delta += 1;
-            }
-        }
-    }
     let mut runs: Vec<LayerRun> = Vec::with_capacity(spec.layers.len());
     let mut importance_cache: HashMap<u32, ImportanceModel> = HashMap::new();
     // Foreground accounting at the base resolution.
@@ -402,14 +314,9 @@ fn execute_pattern_inner(
 
     for (li, layer) in spec.layers.iter().enumerate() {
         // A layer with the same source as an earlier one reuses its results,
-        // counters included, so the trace, the foreground coverage and the
-        // delta statistics read as if it had executed.
+        // so the trace and the foreground coverage read as if it had executed.
         if let Some(src) = same_source[li] {
-            let run = runs[src].clone();
-            if let Some(state) = delta.as_deref_mut() {
-                state.stats.merge(&run.stats);
-            }
-            runs.push(run);
+            runs.push(runs[src].clone());
             continue;
         }
         let (in_grid, mut in_coords): (GridShape, Arc<[PillarCoord]>) = match &layer.input {
@@ -436,100 +343,23 @@ fn execute_pattern_inner(
         }
         let sp = &layer.spec;
         let out_grid = sp.output_grid(in_grid);
-        let mut stats = DeltaStats::default();
         // One bitmap sweep per layer produces the dilated output set and the
         // rule count together (dense layers need neither sweep: their output
         // set is the whole grid and their rule count is closed-form;
-        // submanifold layers keep their input set as the output set). With a
-        // delta state, the sweep is served incrementally: a layer whose
-        // input is unchanged reuses last frame's result wholesale, a changed
-        // input re-sweeps only the output rows whose halo band is dirty, and
-        // full (fallback) frames record the row structure for the next one.
+        // submanifold layers keep their input set as the output set).
         let (dilated, rules): (Arc<[PillarCoord]>, u64) = match sp.kind {
             ConvKind::Dense => (
                 arena.dense_cells(out_grid),
                 out_grid.num_cells() as u64 * sp.kernel.num_taps() as u64,
             ),
-            ConvKind::SpConvS => {
-                let rules = match delta.as_deref_mut() {
-                    Some(state) => {
-                        let out_rows = u64::from(in_grid.height);
-                        stats.rows_full_equivalent += out_rows;
-                        let reusable = frame_delta
-                            && state.layers[li]
-                                .input
-                                .as_ref()
-                                .is_some_and(|p| Arc::ptr_eq(p, &in_coords) || **p == *in_coords);
-                        if reusable {
-                            stats.layers_reused += 1;
-                            state.layers[li].rules
-                        } else if frame_delta {
-                            let (rules, swept) = arena
-                                .delta_count_submanifold(&in_coords, in_grid, sp.kernel, state, li);
-                            stats.layers_patched += 1;
-                            stats.rows_swept += swept;
-                            state.layers[li].input = Some(Arc::clone(&in_coords));
-                            rules
-                        } else {
-                            let rules = arena.count_submanifold_rules_and_record(
-                                &in_coords,
-                                in_grid,
-                                sp.kernel,
-                                &mut state.layers[li],
-                            );
-                            stats.layers_full += 1;
-                            stats.rows_swept += out_rows;
-                            state.layers[li].input = Some(Arc::clone(&in_coords));
-                            rules
-                        }
-                    }
-                    None => arena.count_submanifold_rules(&in_coords, in_grid, sp.kernel),
-                };
-                (Arc::clone(&in_coords), rules)
+            ConvKind::SpConvS => (
+                Arc::clone(&in_coords),
+                arena.count_submanifold_rules(&in_coords, in_grid, sp.kernel),
+            ),
+            _ => {
+                let (out, rules) = arena.dilate_and_count(&in_coords, in_grid, sp.kind, sp.kernel);
+                (Arc::from(out), rules)
             }
-            _ => match delta.as_deref_mut() {
-                Some(state) => {
-                    let out_rows = u64::from(out_grid.height);
-                    stats.rows_full_equivalent += out_rows;
-                    let reusable = frame_delta
-                        && state.layers[li]
-                            .input
-                            .as_ref()
-                            .is_some_and(|p| Arc::ptr_eq(p, &in_coords) || **p == *in_coords);
-                    if reusable {
-                        stats.layers_reused += 1;
-                        let cache = &state.layers[li];
-                        (
-                            Arc::clone(cache.dilated.as_ref().expect("populated cache")),
-                            cache.rules,
-                        )
-                    } else if frame_delta {
-                        let (out, rules, swept) = arena.delta_dilate_and_count(
-                            &in_coords, in_grid, sp.kind, sp.kernel, state, li,
-                        );
-                        stats.layers_patched += 1;
-                        stats.rows_swept += swept;
-                        state.layers[li].input = Some(Arc::clone(&in_coords));
-                        (out, rules)
-                    } else {
-                        let cache = &mut state.layers[li];
-                        let (out, rules) = arena.dilate_count_and_record(
-                            &in_coords, in_grid, sp.kind, sp.kernel, cache,
-                        );
-                        let out: Arc<[PillarCoord]> = Arc::from(out);
-                        cache.dilated = Some(Arc::clone(&out));
-                        cache.input = Some(Arc::clone(&in_coords));
-                        stats.layers_full += 1;
-                        stats.rows_swept += out_rows;
-                        (out, rules)
-                    }
-                }
-                None => {
-                    let (out, rules) =
-                        arena.dilate_and_count(&in_coords, in_grid, sp.kind, sp.kernel);
-                    (Arc::from(out), rules)
-                }
-            },
         };
         // Dynamic pruning for SpConv-P layers.
         let (out_coords, fg_ratio) = if sp.kind == ConvKind::SpConvP {
@@ -566,31 +396,12 @@ fn execute_pattern_inner(
                 let fg_after = kept.iter().filter(|c| model.is_foreground(**c)).count();
                 (fg_before > 0).then(|| fg_after as f64 / fg_before as f64)
             });
-            // Pruning is scene-dependent and re-runs every frame even on the
-            // delta path, but an unchanged pruned set reuses the previous
-            // frame's allocation so downstream layers see pointer-equal
-            // inputs.
-            let out_coords = match delta.as_deref_mut() {
-                Some(state) => {
-                    let cache = &mut state.layers[li];
-                    let arc = match cache.output.as_ref() {
-                        Some(prev) if prev[..] == kept[..] => Arc::clone(prev),
-                        _ => Arc::from(kept),
-                    };
-                    cache.output = Some(Arc::clone(&arc));
-                    arc
-                }
-                None => Arc::from(kept),
-            };
-            (out_coords, fg_ratio)
+            (Arc::from(kept), fg_ratio)
         } else {
             // Non-pruning layers pass the dilated set through unchanged — an
             // `Arc` clone, not a coordinate copy.
             (Arc::clone(&dilated), None)
         };
-        if let Some(state) = delta.as_deref_mut() {
-            state.stats.merge(&stats);
-        }
         runs.push(LayerRun {
             in_grid,
             in_coords,
@@ -599,7 +410,6 @@ fn execute_pattern_inner(
             rules,
             out_coords,
             fg_ratio,
-            stats,
         });
     }
 
@@ -642,10 +452,6 @@ fn execute_pattern_inner(
             output_coords: Arc::clone(&run.out_coords),
             rules,
         });
-    }
-
-    if let Some(state) = delta {
-        state.prev_initial = Some(initial);
     }
 
     // Foreground coverage: fraction retained through all pruning stages,
@@ -1102,43 +908,8 @@ mod tests {
         assert!(heads[0].output_coords.len() < heads[0].input_coords.len());
     }
 
-    #[test]
-    fn same_source_heads_keep_delta_counters() {
-        use crate::zoo::{Model, ModelKind};
-        let (scene, cfg, _) = scene_frame();
-        let grid = cfg.grid_shape();
-        let ctx = ExecutionContext {
-            scene: Some(&scene),
-            pillar_config: Some(&cfg),
-            seed: 3,
-            ..Default::default()
-        };
-        let spec = Model::build(ModelKind::Scp3).spec().clone();
-        let oracle = without_same_source(&spec);
-        let mut arena = ExecutionArena::new();
-        let (mut shared_state, mut oracle_state) =
-            (FrameDeltaState::default(), FrameDeltaState::default());
-        for coords in drifting_frames(grid, 5) {
-            let shared =
-                execute_pattern_delta(&spec, &coords, grid, 0, &ctx, &mut arena, &mut shared_state);
-            let unshared = execute_pattern_delta(
-                &oracle,
-                &coords,
-                grid,
-                0,
-                &ctx,
-                &mut arena,
-                &mut oracle_state,
-            );
-            assert_eq!(shared, unshared);
-            assert_eq!(shared, execute_pattern(&spec, &coords, grid, 0, &ctx));
-        }
-        assert!(shared_state.stats().frames_delta > 0);
-        assert_eq!(shared_state.stats(), oracle_state.stats());
-    }
-
     /// A drifting frame sequence: a few pillars move each frame, the rest
-    /// persist — the temporal shape of a persistent drive.
+    /// persist — the temporal shape of a drive.
     fn drifting_frames(grid: GridShape, frames: usize) -> Vec<Vec<PillarCoord>> {
         let mut s = 0x1234_5678_u64;
         let mut step = |m: u32| {
@@ -1165,9 +936,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_execution_is_byte_identical_to_full() {
-        let grid = GridShape::new(32, 32);
-        let spec = mixed_spec();
+    fn reused_arena_matches_fresh_execution_across_frames_and_switches() {
         let ctx = ExecutionContext {
             pruning: PruningConfig {
                 keep_ratio: 0.5,
@@ -1177,36 +946,12 @@ mod tests {
             seed: 7,
             ..Default::default()
         };
-        let mut delta_arena = ExecutionArena::new();
-        let mut full_arena = ExecutionArena::new();
-        let mut state = FrameDeltaState::default();
-        for (i, coords) in drifting_frames(grid, 8).iter().enumerate() {
-            let incremental =
-                execute_pattern_delta(&spec, coords, grid, 50, &ctx, &mut delta_arena, &mut state);
-            let full = execute_pattern_with_arena(&spec, coords, grid, 50, &ctx, &mut full_arena);
-            assert_eq!(incremental, full, "frame {i} diverged");
-        }
-        let stats = state.stats();
-        assert_eq!(stats.frames_total, 8);
-        assert!(stats.frames_delta >= 6, "drifting frames should go delta");
-        assert!(stats.layers_patched > 0, "some layers must row-splice");
-        assert!(
-            stats.rows_swept < stats.rows_full_equivalent,
-            "the delta path must sweep fewer rows than the full path"
-        );
-        assert!(stats.modelled_speedup() > 1.0);
-    }
-
-    #[test]
-    fn delta_state_survives_network_and_grid_switches() {
-        let ctx = ExecutionContext::default();
         let mut arena = ExecutionArena::new();
-        let mut state = FrameDeltaState::default();
         let grid_a = GridShape::new(24, 24);
         let grid_b = GridShape::new(16, 16);
-        let frames = drifting_frames(grid_b, 3);
-        // Interleave two specs and two grids through one state: every switch
-        // must invalidate and fall back, never produce stale results.
+        let frames = drifting_frames(grid_b, 4);
+        // Interleave two specs and two grids through one arena: scratch left
+        // by one network or grid must never leak into the next result.
         for (spec, grid) in [
             (mixed_spec(), grid_a),
             (simple_spec(ConvKind::SpConv), grid_a),
@@ -1214,57 +959,10 @@ mod tests {
             (mixed_spec(), grid_b),
         ] {
             for coords in &frames {
-                let incremental =
-                    execute_pattern_delta(&spec, coords, grid, 0, &ctx, &mut arena, &mut state);
-                let full = execute_pattern(&spec, coords, grid, 0, &ctx);
-                assert_eq!(incremental, full);
+                let reused = execute_pattern_with_arena(&spec, coords, grid, 50, &ctx, &mut arena);
+                assert_eq!(reused, execute_pattern(&spec, coords, grid, 50, &ctx));
             }
         }
-    }
-
-    #[test]
-    fn iid_frames_fall_back_to_full_sweeps() {
-        let grid = GridShape::new(24, 24);
-        let spec = simple_spec(ConvKind::SpConv);
-        let ctx = ExecutionContext::default();
-        let mut arena = ExecutionArena::new();
-        let mut state = FrameDeltaState::default();
-        // Disjoint coordinate sets per frame: changed fraction ~2.0.
-        for base in [0u32, 8, 16] {
-            let coords = vec![
-                PillarCoord::new(base, 1),
-                PillarCoord::new(base + 2, 3),
-                PillarCoord::new(base + 4, 5),
-            ];
-            let incremental =
-                execute_pattern_delta(&spec, &coords, grid, 0, &ctx, &mut arena, &mut state);
-            assert_eq!(incremental, execute_pattern(&spec, &coords, grid, 0, &ctx));
-        }
-        let stats = state.stats();
-        assert_eq!(stats.frames_total, 3);
-        assert_eq!(stats.frames_delta, 0, "i.i.d. frames must not go delta");
-        assert_eq!(stats.rows_swept, stats.rows_full_equivalent);
-        assert_eq!(stats.modelled_speedup(), 1.0);
-    }
-
-    #[test]
-    fn identical_frames_reuse_whole_layers() {
-        let grid = GridShape::new(24, 24);
-        let spec = mixed_spec();
-        let ctx = ExecutionContext::default();
-        let mut arena = ExecutionArena::new();
-        let mut state = FrameDeltaState::default();
-        let coords = drifting_frames(grid, 1).pop().unwrap();
-        let first = execute_pattern_delta(&spec, &coords, grid, 0, &ctx, &mut arena, &mut state);
-        let second = execute_pattern_delta(&spec, &coords, grid, 0, &ctx, &mut arena, &mut state);
-        assert_eq!(first, second);
-        let stats = state.stats();
-        assert_eq!(stats.frames_delta, 1);
-        // Frame 2's non-dense layers are all served from the cache: pointer
-        // equality propagates layer to layer, so nothing is swept at all.
-        assert_eq!(stats.layers_patched, 0);
-        assert_eq!(stats.layers_reused, spec.layers.len());
-        assert_eq!(stats.rows_swept, stats.rows_full_equivalent / 2);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! book, so they run the streaming module's row-bitmap sweep, which yields
 //! the same output sets and rule counts.
 
-pub mod delta;
 pub mod hash;
 pub mod sort;
 pub mod streaming;

@@ -22,8 +22,7 @@
 //!   kernel tap), giving the `O(P·K)` complexity the RGU exploits; the k-way
 //!   head comparison is a fixed `K ≤ 9`-wide scan that hardware evaluates in
 //!   parallel. The rule books it builds feed the functional convolutions, the
-//!   hash/sort equivalence checks, the delta patcher and the Fig. 5(b) cost
-//!   model.
+//!   hash/sort equivalence checks and the Fig. 5(b) cost model.
 //! * **The row-bitmap sweep** (`BitmapSweep`) serves pattern-level
 //!   execution ([`crate::arena::ExecutionArena`] and
 //!   [`crate::rulegen::output_coords`]), which only needs each layer's output
@@ -128,7 +127,7 @@ fn output_col(col: u32, dc: i64, kind: ConvKind) -> i64 {
 /// One merge stream: a single (input row, kernel tap) pair emitting candidate
 /// output columns in ascending order.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct StreamState {
+struct StreamState {
     /// Input row this stream reads.
     row: u32,
     /// Cursor within the row's column slice.
@@ -169,7 +168,7 @@ fn settle<R: RowSource>(rows: &R, s: &mut StreamState, kind: ConvKind, out_w: u3
 /// already hold the input coordinates as its outputs and only rules are
 /// pushed. [`ConvKind::Dense`] has no sparse structure to stream and is
 /// handled by the callers directly.
-pub(crate) fn fused_sweep<R: RowSource>(
+fn fused_sweep<R: RowSource>(
     rows: &R,
     in_grid: GridShape,
     kind: ConvKind,
@@ -182,13 +181,11 @@ pub(crate) fn fused_sweep<R: RowSource>(
     }
 }
 
-/// Sweeps a single output row `o` into `book`. Because the fused sweep is
+/// Sweeps a single output row `o` into `book`. The fused sweep is
 /// row-independent (each output row only reads its own overlapping input
-/// rows and emits a contiguous run of output indices), a full frame is just
-/// this function applied to every row in order — and the delta patcher
-/// ([`crate::rulegen::delta`]) applies it to *dirty* rows only, splicing the
-/// results between untouched spans of the previous frame.
-pub(crate) fn sweep_output_row<R: RowSource>(
+/// rows and emits a contiguous run of output indices), so a full frame is
+/// this function applied to every row in order.
+fn sweep_output_row<R: RowSource>(
     rows: &R,
     in_grid: GridShape,
     kind: ConvKind,
@@ -277,30 +274,6 @@ pub(crate) fn sweep_output_row<R: RowSource>(
     }
 }
 
-/// The input rows the sweep of output row `o` reads, as an inclusive range
-/// clipped to the input grid — the receptive-field ("halo") row band. Any
-/// change confined to input rows outside this band cannot affect output row
-/// `o`, which is the row-granular invariant the delta patcher relies on.
-pub(crate) fn input_row_band(
-    o: u32,
-    in_grid: GridShape,
-    kind: ConvKind,
-    kernel: KernelShape,
-) -> Option<(u32, u32)> {
-    let (centre_r, _) = centre(kernel);
-    let mut band: Option<(u32, u32)> = None;
-    let rows =
-        (0..i64::from(kernel.kh)).filter_map(|kr| input_row(o, kr - centre_r, in_grid, kind));
-    // Submanifold sweeps additionally intersect with the *output* row's own
-    // input set, which sits at input row `o` — inside the band already for
-    // odd kernels, but include it defensively.
-    let own = (kind == ConvKind::SpConvS && o < in_grid.height).then_some(o);
-    for r in rows.chain(own) {
-        band = Some(band.map_or((r, r), |(lo, hi)| (lo.min(r), hi.max(r))));
-    }
-    band
-}
-
 /// Number of `u64` words a bitmap row of `width` columns occupies.
 fn words_for(width: u32) -> usize {
     (width as usize).div_ceil(64)
@@ -386,11 +359,6 @@ impl<'a, R: RowSource> BitmapSweep<'a, R> {
         }
     }
 
-    /// The input rows the sweep reads.
-    pub(crate) fn rows(&self) -> &R {
-        &self.rows
-    }
-
     /// Input row `r` as a padded bitmap (stride-1 kinds).
     fn in_row(&self, r: u32) -> &'a [u64] {
         let stride = self.in_words + 2 * self.pad;
@@ -400,7 +368,7 @@ impl<'a, R: RowSource> BitmapSweep<'a, R> {
     /// Sweeps output row `o`: leaves its active columns in the row bitmap
     /// (left empty for [`ConvKind::SpConvS`], whose outputs are its inputs)
     /// and returns its rule count.
-    pub(crate) fn sweep_row(&mut self, o: u32) -> u64 {
+    fn sweep_row(&mut self, o: u32) -> u64 {
         self.out_bits.fill(0);
         let (centre_r, centre_c) = centre(self.kernel);
         let (pad, words) = (self.pad, self.in_words);
@@ -467,7 +435,7 @@ impl<'a, R: RowSource> BitmapSweep<'a, R> {
 
     /// Appends the active outputs of the last swept row `o` to `out`, in
     /// ascending column (CPR) order.
-    pub(crate) fn emit_row(&self, o: u32, out: &mut Vec<PillarCoord>) {
+    fn emit_row(&self, o: u32, out: &mut Vec<PillarCoord>) {
         for (i, &word) in self.out_bits.iter().enumerate() {
             let mut w = word;
             while w != 0 {

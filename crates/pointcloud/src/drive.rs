@@ -352,8 +352,7 @@ impl DriveScenarioConfig {
     /// `index` uses.
     ///
     /// On a persistent drive consecutive frames share most of their active
-    /// pillars, and the temporal delta path exploits exactly that — but a
-    /// per-frame pruning seed would re-randomise the SpConv-P importance
+    /// pillars, but a per-frame pruning seed would re-randomise the SpConv-P importance
     /// noise every frame, churning the pruned sets (and everything
     /// downstream) far more than the scene itself changes. Persistent drives
     /// therefore hold the pruning seed fixed at frame 0's

@@ -10,7 +10,7 @@
 #   4. cargo test -q            — unit + integration + property + doc tests
 #   5. dse smoke with --jobs 4  — the parallel sweep path, reduced grid,
 #                                 legacy drive + one scripted scenario,
-#                                 full-sweep, delta, and adaptive execution
+#                                 full-sweep and adaptive execution
 #   6. perf smoke               — reduced and full-scale dse (release) vs
 #                                 committed references
 #   7. serve smoke              — spade-serve + 50 spade-loadgen requests:
@@ -39,9 +39,6 @@ cargo run -q -p spade-bench --bin spade-experiments -- --reduced dse --jobs 4
 
 echo "==> dse smoke (scripted stop-and-go scenario, persistent world)"
 cargo run -q -p spade-bench --bin spade-experiments -- --reduced dse --jobs 4 --scenario stop-and-go
-
-echo "==> dse smoke (stop-and-go scenario, temporal delta execution)"
-cargo run -q -p spade-bench --bin spade-experiments -- --reduced dse --jobs 4 --scenario stop-and-go --delta
 
 echo "==> dse smoke (adaptive exploration, reduced grid)"
 adaptive_out=$(cargo run -q -p spade-bench --bin spade-experiments -- --reduced dse --jobs 4 --adaptive)

@@ -93,25 +93,22 @@ fn adaptive_frontier_is_byte_identical_to_exhaustive() {
 }
 
 #[test]
-fn adaptive_frontier_equality_holds_for_scenarios_and_delta() {
-    // The screen composes with the scripted-scenario and delta-execution
-    // paths (both only change how stage 1 builds the per-frame workloads):
-    // frontier equality must survive the combination.
-    for delta in [false, true] {
-        let mut exhaustive_params = small_params();
-        exhaustive_params.scenario = Some(NamedScenario::StopAndGo);
-        exhaustive_params.delta = delta;
-        let mut adaptive_params = exhaustive_params.clone();
-        adaptive_params.adaptive = true;
+fn adaptive_frontier_equality_holds_for_scenarios() {
+    // The screen composes with the scripted-scenario path (which only
+    // changes how stage 1 builds the per-frame workloads): frontier
+    // equality must survive the combination.
+    let mut exhaustive_params = small_params();
+    exhaustive_params.scenario = Some(NamedScenario::StopAndGo);
+    let mut adaptive_params = exhaustive_params.clone();
+    adaptive_params.adaptive = true;
 
-        let exhaustive = run_dse_with_jobs(&exhaustive_params, 4);
-        let adaptive_run = run_dse_with_jobs(&adaptive_params, 4);
-        assert_eq!(
-            frontier_cells(&exhaustive),
-            frontier_cells(&adaptive_run),
-            "frontier drifted (stop-and-go, delta={delta})"
-        );
-    }
+    let exhaustive = run_dse_with_jobs(&exhaustive_params, 4);
+    let adaptive_run = run_dse_with_jobs(&adaptive_params, 4);
+    assert_eq!(
+        frontier_cells(&exhaustive),
+        frontier_cells(&adaptive_run),
+        "frontier drifted (stop-and-go)"
+    );
 }
 
 #[test]

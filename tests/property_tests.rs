@@ -220,15 +220,12 @@ proptest! {
         prop_assert!(iid_overlap < 0.2, "i.i.d. baseline {iid_overlap}");
     }
 
-    /// Delta rule generation is byte-identical to the full streaming sweep on
-    /// real drive data: over every consecutive frame pair of every named
-    /// scenario, for every convolution kind and kernel shape the zoo uses,
-    /// patching the previous frame's rule book reproduces the from-scratch
-    /// book exactly — same output coordinates, same per-tap rule sequences,
-    /// and the analytic `count_rules` agrees with the materialised count.
+    /// On real drive data — every frame of every named scenario, for every
+    /// convolution kind and kernel shape the zoo uses — the output set of
+    /// the row-bitmap sweep (`rulegen::output_coords`) and the analytic
+    /// `count_rules` agree with the rule book the RGU reference builds.
     #[test]
-    fn delta_patching_matches_full_sweeps_on_every_named_scenario(seed in 0u64..100_000) {
-        use spade::nn::rulegen::delta::patch_rule_book;
+    fn rule_generation_paths_agree_on_every_named_scenario(seed in 0u64..100_000) {
         let cases = [
             (ConvKind::SpConv, KernelShape::k3x3()),
             (ConvKind::SpConvS, KernelShape::k3x3()),
@@ -244,40 +241,28 @@ proptest! {
             let drive = DriveScenario::named(DatasetPreset::kitti_like(), scenario, 3, seed);
             // Downsample the BEV coordinates 8x so a whole scenario sweep of
             // 9 kind/kernel cases stays fast while preserving the drive's
-            // change structure (moved pillars, appearing/vanishing rows).
+            // structure (moved pillars, appearing/vanishing rows).
             let base = DatasetPreset::kitti_like().grid_shape();
             let grid = GridShape::new(base.height / 8, base.width / 8);
-            let tensors: Vec<CprTensor> = drive
-                .frames()
-                .iter()
-                .map(|f| {
-                    let coords: Vec<PillarCoord> = f
-                        .frame
-                        .pillars
-                        .active_coords
-                        .iter()
-                        .map(|c| PillarCoord::new(c.row / 8, c.col / 8))
-                        .collect();
-                    CprTensor::from_coords(grid, 1, &coords)
-                })
-                .collect();
-            for pair in tensors.windows(2) {
+            for f in drive.frames() {
+                let coords: Vec<PillarCoord> = f
+                    .frame
+                    .pillars
+                    .active_coords
+                    .iter()
+                    .map(|c| PillarCoord::new(c.row / 8, c.col / 8))
+                    .collect();
+                let t = CprTensor::from_coords(grid, 1, &coords);
                 for (kind, kernel) in cases {
-                    let prev_book = rulegen::generate_rules(&pair[0], kind, kernel);
-                    let full = rulegen::generate_rules(&pair[1], kind, kernel);
-                    let patched = patch_rule_book(&pair[0], &prev_book, &pair[1], kind, kernel);
+                    let book = rulegen::generate_rules(&t, kind, kernel);
                     prop_assert_eq!(
-                        &patched, &full,
-                        "{}: patched book drifted for {} {:?}", scenario, kind, kernel
-                    );
-                    prop_assert_eq!(
-                        patched.output_coords(),
-                        rulegen::output_coords(&pair[1], kind, kernel),
+                        book.output_coords(),
+                        rulegen::output_coords(&t, kind, kernel),
                         "{}: output coords drifted for {} {:?}", scenario, kind, kernel
                     );
                     if kind != ConvKind::Dense {
                         let counted = spade::nn::graph::count_rules(
-                            &pair[1].coords(),
+                            &t.coords(),
                             grid,
                             rulegen::output_grid(grid, kind),
                             kind,
@@ -285,7 +270,7 @@ proptest! {
                         );
                         prop_assert_eq!(
                             counted,
-                            patched.num_rules() as u64,
+                            book.num_rules() as u64,
                             "{}: count drifted for {} {:?}", scenario, kind, kernel
                         );
                     }
@@ -293,74 +278,6 @@ proptest! {
             }
         }
     }
-}
-
-#[test]
-fn delta_fallback_boundaries_are_exact() {
-    // The fallback decision is inclusive at the threshold and conservative at
-    // the extremes — and whichever path runs, the book matches the oracle.
-    use spade::nn::rulegen::delta::{changed_fraction, generate_or_patch, DeltaPolicy};
-    let grid = GridShape::new(24, 24);
-    let t = |coords: &[(u32, u32)]| {
-        CprTensor::from_coords(
-            grid,
-            1,
-            &coords
-                .iter()
-                .map(|&(r, c)| PillarCoord::new(r, c))
-                .collect::<Vec<_>>(),
-        )
-    };
-    // 4 shared + 1 changed coordinate: |symdiff| = 2, max size = 5, so the
-    // changed fraction is exactly 0.4 — at a 0.4 threshold the delta path
-    // must still run (the policy is inclusive).
-    let prev = t(&[(2, 2), (2, 3), (5, 5), (9, 1), (12, 7)]);
-    let next = t(&[(2, 2), (2, 3), (5, 5), (9, 1), (20, 20)]);
-    assert_eq!(changed_fraction(&prev.coords(), &next.coords()), 0.4);
-    let prev_book = rulegen::generate_rules(&prev, ConvKind::SpConv, KernelShape::k3x3());
-    let at = DeltaPolicy { threshold: 0.4 };
-    let below = DeltaPolicy { threshold: 0.39 };
-    for (policy, expect_patch) in [(at, true), (below, false)] {
-        let (book, patched) = generate_or_patch(
-            policy,
-            Some((&prev, &prev_book)),
-            &next,
-            ConvKind::SpConv,
-            KernelShape::k3x3(),
-        );
-        assert_eq!(patched, expect_patch, "threshold {}", policy.threshold);
-        assert_eq!(
-            book,
-            rulegen::generate_rules(&next, ConvKind::SpConv, KernelShape::k3x3())
-        );
-    }
-    // Boundary frames: an empty next frame (fraction 1.0) and a fully
-    // changed frame (fraction 2.0) both force the full-sweep fallback; a
-    // missing previous frame always full-sweeps.
-    let empty = CprTensor::empty(grid, 1);
-    let moved = t(&[(15, 15), (16, 16), (17, 17), (18, 18), (19, 19)]);
-    for next in [&empty, &moved] {
-        let (book, patched) = generate_or_patch(
-            DeltaPolicy::default(),
-            Some((&prev, &prev_book)),
-            next,
-            ConvKind::SpConv,
-            KernelShape::k3x3(),
-        );
-        assert!(!patched);
-        assert_eq!(
-            book,
-            rulegen::generate_rules(next, ConvKind::SpConv, KernelShape::k3x3())
-        );
-    }
-    let (_, patched) = generate_or_patch(
-        DeltaPolicy::default(),
-        None,
-        &next,
-        ConvKind::SpConv,
-        KernelShape::k3x3(),
-    );
-    assert!(!patched);
 }
 
 // ---------------------------------------------------------------------------
@@ -458,7 +375,6 @@ mod protocol_props {
             base_seed: s.next(),
             profile,
             scenario,
-            delta: s.below(2) == 0,
             adaptive: s.below(2) == 0,
         }
     }

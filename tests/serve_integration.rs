@@ -5,7 +5,7 @@
 //! load generator's measured hit-rate against its analytic expectation.
 
 use spade::core::DataflowOptions;
-use spade::nn::{DeltaPolicy, FrameDeltaState, ModelKind, PruningConfig};
+use spade::nn::{ModelKind, PruningConfig};
 use spade::pointcloud::{DatasetPreset, DriveScenario, NamedScenario};
 use spade_bench::dse::{run_dse, DseParams, SweepAxes};
 use spade_bench::loadgen::{expected_hit_rate, run_loadgen, zipf_weights, LoadgenConfig};
@@ -14,7 +14,7 @@ use spade_bench::protocol::{
     Request, Response,
 };
 use spade_bench::serve::parse_stats_body;
-use spade_bench::workload::model_run_on_frame_delta;
+use spade_bench::workload::model_run_on_frame;
 use spade_bench::{ServeConfig, Server, WorkloadScale};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
@@ -281,100 +281,90 @@ fn malformed_frames_get_error_replies_without_killing_the_server() {
 }
 
 #[test]
-fn frame_stream_matches_direct_delta_execution() {
+fn frame_stream_matches_direct_execution() {
     const FRAMES: usize = 6;
     let server = test_server();
     let mut client = connect(&server);
 
-    // Direct reference: the same drive executed locally through the
-    // temporal delta path. (The tunnel drive patches most of its frames
-    // at this length; short urban drives ramp too fast to patch any.)
+    // Direct reference: the FRAME body of each frame of the same drive,
+    // executed locally.
     let scenario = NamedScenario::Tunnel;
     let seed = 11u64;
     let config = scenario.config(FRAMES, seed);
     let drive = DriveScenario::new(DatasetPreset::kitti_like(), config.clone());
-    let frames = drive.frames();
-    let mut state = FrameDeltaState::new(DeltaPolicy::default());
-    let mut reference = Vec::new();
-    for frame in &frames {
-        let run = model_run_on_frame_delta(
-            ModelKind::Spp2,
-            &DatasetPreset::kitti_like(),
-            &frame.frame,
-            config.pruning_seed(frame.index),
-            WorkloadScale::Reduced,
-            PruningConfig::default(),
-            &mut state,
-        );
-        let frame_stats = state.take_stats();
-        reference.push((
-            run.encoder_macs,
-            run.workloads.len(),
-            frame_stats.frames_delta > 0,
-        ));
-    }
-    assert!(
-        reference.iter().any(|&(_, _, delta)| delta),
-        "the tunnel drive should patch at least one frame"
-    );
-
-    // Served: one FRAME request per index over the same (drive, model) key.
-    for (index, &(encoder_macs, layers, delta)) in reference.iter().enumerate() {
-        let response = send(
-            &mut client,
-            &Request::Frame(FrameRequest {
-                drive: "veh-1".to_owned(),
-                scenario,
-                model: ModelKind::Spp2,
-                scale: WorkloadScale::Reduced,
-                seed,
-                frames: FRAMES,
-                index,
-            }),
-        );
-        let Response::Ok { body, .. } = &response else {
-            panic!("FRAME {index} failed: {response:?}");
-        };
-        let fields = parse_stats_body(body);
-        assert_eq!(
-            fields.get("encoder_macs").map(String::as_str),
-            Some(encoder_macs.to_string().as_str()),
-            "frame {index}"
-        );
-        assert_eq!(
-            fields.get("layers").map(String::as_str),
-            Some(layers.to_string().as_str()),
-            "frame {index}"
-        );
-        assert_eq!(
-            response.meta_field("delta"),
-            Some(if delta { "1" } else { "0" }),
-            "frame {index}: server's delta path must follow the reference"
-        );
-    }
-
-    // Out-of-range index is an error, not a crash.
-    let bad = send(
-        &mut client,
-        &Request::Frame(FrameRequest {
+    let reference: Vec<String> = drive
+        .frames()
+        .iter()
+        .map(|frame| {
+            let run = model_run_on_frame(
+                ModelKind::Spp2,
+                &DatasetPreset::kitti_like(),
+                &frame.frame,
+                config.pruning_seed(frame.index),
+                WorkloadScale::Reduced,
+                PruningConfig::default(),
+            );
+            format!(
+                "model={}\nframe={}/{FRAMES}\nlayers={}\nencoder_macs={}",
+                run.kind.name(),
+                frame.index,
+                run.workloads.len(),
+                run.encoder_macs
+            )
+        })
+        .collect();
+    let golden = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/stats_keys.txt"),
+    )
+    .expect("tests/golden/stats_keys.txt is committed");
+    let golden_keys: Vec<&str> = golden
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    let frame = |index| {
+        Request::Frame(FrameRequest {
             drive: "veh-1".to_owned(),
             scenario,
             model: ModelKind::Spp2,
             scale: WorkloadScale::Reduced,
             seed,
             frames: FRAMES,
-            index: FRAMES,
-        }),
-    );
+            index,
+        })
+    };
+
+    // Served over one (drive, model) key: in order, out of order, and
+    // repeated. Execution is stateless per frame, so the order of requests
+    // never changes a reply.
+    let order: Vec<usize> = (0..FRAMES).chain([5, 2, 0, 3, 3, 3, 1]).collect();
+    for &index in &order {
+        let response = send(&mut client, &frame(index));
+        assert_eq!(
+            response,
+            Response::ok(format!("index={index}"), &reference[index]),
+            "frame {index}"
+        );
+        let Response::Ok { body, .. } = &response else {
+            unreachable!("compared to an OK above");
+        };
+        for key in parse_stats_body(body).keys() {
+            assert!(
+                golden_keys.contains(&key.as_str()),
+                "key {key} not in golden"
+            );
+        }
+    }
+
+    // Out-of-range index is an error, not a crash.
+    let bad = send(&mut client, &frame(FRAMES));
     assert!(matches!(bad, Response::Err(_)), "{bad:?}");
 
-    // The drained per-frame stats landed in the service-wide aggregate.
     let counters = stats(&mut client);
-    let total: usize = counters
-        .get("delta_frames_total")
-        .and_then(|v| v.parse().ok())
-        .expect("delta_frames_total in STATS");
-    assert_eq!(total, FRAMES);
+    assert_eq!(
+        counters.get("frames_served").map(String::as_str),
+        Some(order.len().to_string().as_str())
+    );
+    assert_eq!(counters.get("streams").map(String::as_str), Some("1"));
 
     server.shutdown();
     server.join();
